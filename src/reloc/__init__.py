@@ -42,9 +42,10 @@ from .encoder import (
     lower_bound,
     makespan_bound,
 )
-from .oracle import OracleResult, is_solvable, oracle_solve
-from .cbs import SolveResult, SolveStats, cbs_solve
-from .solvers import mdd_sat_solve, refine_for_variant, smt_cbs_solve
+from .result import SolveResult, SolveStats
+from .oracle import is_solvable, oracle_solve
+from .cbs import cbs_solve
+from .solvers import mdd_sat_solve, smt_cbs_solve
 
 __all__ = [
     "Graph", "DistTable", "all_pairs_distances", "build_graph",
@@ -55,7 +56,6 @@ __all__ = [
     "CnfFormula", "SatSolver", "from_dimacs", "solve", "to_dimacs",
     "ConflictRecord", "Mdd", "VarMap", "build_mdd", "encode_basic",
     "encode_full", "extract_plan", "lower_bound", "makespan_bound",
-    "OracleResult", "is_solvable", "oracle_solve",
-    "SolveResult", "SolveStats", "cbs_solve",
-    "mdd_sat_solve", "refine_for_variant", "smt_cbs_solve",
+    "SolveResult", "SolveStats", "is_solvable", "oracle_solve", "cbs_solve",
+    "mdd_sat_solve", "smt_cbs_solve",
 ]

@@ -25,37 +25,19 @@ from .relocation import (
     random_permutation_instance,
     validate,
 )
+from .result import STATUS_SOLVED, SolveResult
 from .solvers import mdd_sat_solve, smt_cbs_solve
 
 SCHEMA_VERSION = 1
-
-CSV_HEADER = [
-    "schema",
-    "instance_id",
-    "family",
-    "variant",
-    "algorithm",
-    "n",
-    "k",
-    "seed",
-    "solved",
-    "status",
-    "xi",
-    "mu",
-    "runtime_ms",
-    "sat_time_ms",
-    "sat_calls",
-    "clauses",
-    "variables",
-    "refinements",
-    "ct_nodes",
-]
 
 RUNTIME_COLUMNS = ("runtime_ms", "sat_time_ms")
 
 
 @dataclass
 class MetricsRow:
+    """One CSV row; the columns are the fields in order, after the schema
+    version, so changing a field changes the schema."""
+
     instance_id: str
     family: str
     variant: str
@@ -75,10 +57,21 @@ class MetricsRow:
     refinements: int
     ct_nodes: int
 
+    @classmethod
+    def from_result(cls, res: SolveResult, inst: Instance, instance_id: str,
+                    family: str, seed: int) -> MetricsRow:
+        s = res.stats
+        return cls(
+            instance_id, family, inst.variant.value, s.algorithm,
+            inst.graph.n, inst.k, seed, res.status == STATUS_SOLVED, res.status,
+            res.xi, s.mu, s.runtime * 1000.0, s.sat_time * 1000.0,
+            s.sat_calls, s.clauses, s.variables, s.refinements, s.ct_nodes,
+        )
+
     def to_csv_fields(self) -> list[str]:
         vals = [SCHEMA_VERSION] + [getattr(self, f.name) for f in fields(self)]
         out = []
-        for header, v in zip(CSV_HEADER, vals):
+        for v in vals:
             if v is None:
                 out.append("")
             elif isinstance(v, bool):
@@ -90,10 +83,19 @@ class MetricsRow:
         return out
 
 
-ALGORITHMS = {
-    "cbs": lambda inst, timeout: cbs_solve(inst, timeout=timeout),
-    "mddsat": lambda inst, timeout: mdd_sat_solve(inst, timeout=timeout),
-    "smtcbs": lambda inst, timeout: smt_cbs_solve(inst, timeout=timeout),
+CSV_HEADER = ["schema"] + [f.name for f in fields(MetricsRow)]
+
+def _oracle(inst: Instance, timeout: float | None = None) -> SolveResult:
+    """oracle_solve, which takes no time budget, as a solver."""
+    return oracle_solve(inst)
+
+
+# name -> solver(inst, timeout=...) -> SolveResult with stats.algorithm == name
+SOLVERS = {
+    "cbs": cbs_solve,
+    "mddsat": mdd_sat_solve,
+    "oracle": _oracle,
+    "smtcbs": smt_cbs_solve,
 }
 
 
@@ -102,26 +104,10 @@ def run_one(inst: Instance, family: str, seed: int, algorithm: str,
     """Run one algorithm on one instance; invalid plans raise."""
     if instance_id is None:
         instance_id = f"{family}-{inst.variant.value}-k{inst.k}-s{seed}"
-    if algorithm == "oracle":
-        res = oracle_solve(inst)
-        if res.status == "solved" and validate(inst, res.plan):
-            raise RuntimeError(f"oracle produced an invalid plan on {instance_id}")
-        return MetricsRow(
-            instance_id, family, inst.variant.value, "oracle",
-            inst.graph.n, inst.k, seed, res.status == "solved", res.status,
-            res.xi, res.plan.makespan if res.plan else None,
-            0.0, 0.0, 0, 0, 0, 0, 0,
-        )
-    res = ALGORITHMS[algorithm](inst, timeout)
+    res = SOLVERS[algorithm](inst, timeout=timeout)
     if res.plan is not None and validate(inst, res.plan):
         raise RuntimeError(f"{algorithm} produced an invalid plan on {instance_id}")
-    s = res.stats
-    return MetricsRow(
-        instance_id, family, inst.variant.value, algorithm,
-        inst.graph.n, inst.k, seed, res.status == "solved", res.status,
-        res.xi, s.mu, s.runtime * 1000.0, s.sat_time * 1000.0,
-        s.sat_calls, s.clauses, s.variables, s.refinements, s.ct_nodes,
-    )
+    return MetricsRow.from_result(res, inst, instance_id, family, seed)
 
 
 def make_family(family: str, seed: int = 0) -> Graph:
@@ -200,27 +186,26 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+# CSV text -> field value, by the annotation of the MetricsRow field
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": lambda text: text == "1",
+    "int | None": lambda text: int(text) if text else None,
+}
+
+
 def read_csv(text: str) -> list[MetricsRow]:
     rdr = csv.reader(io.StringIO(text))
     header = next(rdr)
     if header != CSV_HEADER:
         raise ValueError("metrics CSV header does not match schema version "
                          f"{SCHEMA_VERSION}")
-    rows = []
-    for rec in rdr:
-        vals = dict(zip(CSV_HEADER, rec))
-        rows.append(MetricsRow(
-            vals["instance_id"], vals["family"], vals["variant"],
-            vals["algorithm"], int(vals["n"]), int(vals["k"]),
-            int(vals["seed"]), vals["solved"] == "1", vals["status"],
-            int(vals["xi"]) if vals["xi"] else None,
-            int(vals["mu"]) if vals["mu"] else None,
-            float(vals["runtime_ms"]), float(vals["sat_time_ms"]),
-            int(vals["sat_calls"]), int(vals["clauses"]),
-            int(vals["variables"]), int(vals["refinements"]),
-            int(vals["ct_nodes"]),
-        ))
-    return rows
+    return [
+        MetricsRow(*(_PARSERS[f.type](v) for f, v in zip(fields(MetricsRow), rec[1:])))
+        for rec in rdr
+    ]
 
 
 @dataclass
@@ -280,38 +265,31 @@ SUMMARY_HEADER = [
 ]
 
 
+def _summary_fields(c: SummaryCell, empty: str) -> list[str]:
+    def fmt(value, spec):
+        return empty if value is None else format(value, spec)
+
+    return [
+        c.family, c.variant, str(c.k), c.algorithm, str(c.runs),
+        f"{c.solve_rate:.2f}",
+        fmt(c.mean_runtime_ms, ".1f"), fmt(c.median_runtime_ms, ".1f"),
+        fmt(c.mean_xi, ".2f"), fmt(c.mean_clauses, ".1f"),
+        fmt(c.mean_variables, ".1f"), fmt(c.clause_ratio, ".3f"),
+    ]
+
+
 def summary_to_csv(cells: list[SummaryCell]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SUMMARY_HEADER)
     for c in cells:
-        w.writerow([
-            c.family, c.variant, c.k, c.algorithm, c.runs,
-            f"{c.solve_rate:.2f}",
-            "" if c.mean_runtime_ms is None else f"{c.mean_runtime_ms:.1f}",
-            "" if c.median_runtime_ms is None else f"{c.median_runtime_ms:.1f}",
-            "" if c.mean_xi is None else f"{c.mean_xi:.2f}",
-            "" if c.mean_clauses is None else f"{c.mean_clauses:.1f}",
-            "" if c.mean_variables is None else f"{c.mean_variables:.1f}",
-            "" if c.clause_ratio is None else f"{c.clause_ratio:.3f}",
-        ])
+        w.writerow(_summary_fields(c, ""))
     return buf.getvalue()
 
 
 def summary_table(cells: list[SummaryCell]) -> str:
     """Aligned plain-text view of a summary; empty cells print as a dash."""
-    rows = [SUMMARY_HEADER]
-    for c in cells:
-        rows.append([
-            c.family, c.variant, str(c.k), c.algorithm, str(c.runs),
-            f"{c.solve_rate:.2f}",
-            "-" if c.mean_runtime_ms is None else f"{c.mean_runtime_ms:.1f}",
-            "-" if c.median_runtime_ms is None else f"{c.median_runtime_ms:.1f}",
-            "-" if c.mean_xi is None else f"{c.mean_xi:.2f}",
-            "-" if c.mean_clauses is None else f"{c.mean_clauses:.1f}",
-            "-" if c.mean_variables is None else f"{c.mean_variables:.1f}",
-            "-" if c.clause_ratio is None else f"{c.clause_ratio:.3f}",
-        ])
+    rows = [SUMMARY_HEADER] + [_summary_fields(c, "-") for c in cells]
     widths = [max(len(r[i]) for r in rows) for i in range(len(SUMMARY_HEADER))]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()

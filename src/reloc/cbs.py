@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encoder import lower_bound
 from .graphs import INF
@@ -38,49 +38,25 @@ from .pathfinder import (
 from .relocation import (
     Collision,
     Instance,
-    KIND_EDGE,
     KIND_OCCUPANCY,
     KIND_VERTEX,
-    Plan,
     TOKEN_VARIANTS,
     Variant,
     effective_adjacency,
     effective_distances,
     make_plan,
-    step_collisions,
+    plan_collisions,
+)
+from .result import (
+    STATUS_LIMIT,
+    STATUS_SOLVED,
+    STATUS_TIMEOUT,
+    STATUS_UNSOLVABLE,
+    SolveResult,
+    SolveStats,
+    finish,
 )
 from . import oracle
-
-STATUS_SOLVED = "solved"
-STATUS_UNSOLVABLE = "unsolvable"
-STATUS_TIMEOUT = "timeout"
-STATUS_LIMIT = "limit"
-
-
-@dataclass
-class SolveStats:
-    """Run metrics shared by all drivers; SAT fields stay zero for CBS and
-    ct_nodes stays zero for the SAT drivers."""
-
-    algorithm: str = ""
-    xi: int | None = None
-    mu: int | None = None
-    runtime: float = 0.0
-    sat_time: float = 0.0
-    sat_calls: int = 0
-    clauses: int = 0
-    variables: int = 0
-    refinements: int = 0
-    conflicts_stored: int = 0
-    ct_nodes: int = 0
-
-
-@dataclass
-class SolveResult:
-    status: str
-    xi: int | None = None
-    plan: Plan | None = None
-    stats: SolveStats = field(default_factory=SolveStats)
 
 
 def cost_cutoff(inst: Instance) -> int:
@@ -94,16 +70,31 @@ def solvability_precheck(inst: Instance) -> bool | None:
     Infinite effective distance is always decisive. For TSWAP/TPERM finite
     distances are also sufficient: the support stays fully occupied, and
     swaps along the edges of a connected occupied subgraph realize every
-    permutation of the items on it. MAPF and TROT fall back to exhaustive
-    reachability when the instance is small enough.
+    permutation of the items on it. TROT falls back to exhaustive
+    reachability when there are few items: tokens never leave the support,
+    so the search visits at most k! configurations whatever the graph's
+    size. MAPF does so only when the graph is small as well.
     """
     if lower_bound(inst) >= INF:
         return False
     if inst.variant in (Variant.TSWAP, Variant.TPERM):
         return True
-    if inst.graph.n <= oracle.DEFAULT_VERTEX_CAP and inst.k <= oracle.DEFAULT_ITEM_CAP:
-        return oracle.is_solvable(inst)
+    small = inst.variant in TOKEN_VARIANTS or inst.graph.n <= oracle.DEFAULT_VERTEX_CAP
+    if small and inst.k <= oracle.DEFAULT_ITEM_CAP:
+        return oracle.is_solvable(inst, vertex_cap=inst.graph.n)
     return None
+
+
+def search_cap(inst: Instance, xi_cap: int | None) -> int | None:
+    """Cost cap of an optimal search, or None when the precheck proves the
+    instance unsolvable. A given xi_cap wins; a certified-solvable instance
+    is searched without a cap."""
+    solvable = solvability_precheck(inst)
+    if solvable is False:
+        return None
+    if xi_cap is not None:
+        return xi_cap
+    return INF if solvable else cost_cutoff(inst)
 
 
 def padded_configs(paths):
@@ -114,14 +105,7 @@ def padded_configs(paths):
 
 
 def joint_collisions(inst: Instance, paths) -> list[Collision]:
-    padded, horizon = padded_configs(paths)
-    out: list[Collision] = []
-    for t in range(horizon):
-        cur = tuple(p[t] for p in padded)
-        nxt = tuple(p[t + 1] for p in padded)
-        out.extend(step_collisions(inst, cur, nxt, t))
-    out.sort(key=Collision.sort_key)
-    return out
+    return plan_collisions(inst, padded_configs(paths)[0])
 
 
 def _branch_constraints(inst: Instance, col: Collision, padded) -> list[Constraint]:
@@ -161,10 +145,9 @@ class CTNode:
     cost: int
 
 
-def _replan(inst, adj, dist, item, cs: ConstraintSet, horizon_pad):
+def _replan(inst, adj, dist, item, cs: ConstraintSet):
     maxt = max((c.t for c in cs), default=-1)
     horizon = max(maxt + 1 + inst.graph.n, dist(inst.starts[item], inst.goals[item]))
-    horizon += horizon_pad
     return constrained_shortest_path(
         adj, dist, item, inst.starts[item], inst.goals[item], cs, horizon
     )
@@ -175,21 +158,16 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     stats = SolveStats(algorithm="cbs")
-
-    solvable = solvability_precheck(inst)
-    if solvable is False:
-        stats.runtime = time.monotonic() - t0
-        return SolveResult(STATUS_UNSOLVABLE, stats=stats)
+    xi_cap = search_cap(inst, xi_cap)
     if xi_cap is None:
-        # a certified-solvable instance is searched without a cost cap
-        xi_cap = INF if solvable else cost_cutoff(inst)
+        return finish(stats, t0, STATUS_UNSOLVABLE)
 
     adj = effective_adjacency(inst)
     dist = effective_distances(inst)
     empty = ConstraintSet()
     root_paths = []
     for i in range(inst.k):
-        p = _replan(inst, adj, dist, i, empty, 0)
+        p = _replan(inst, adj, dist, i, empty)
         assert p is not None  # lower_bound is finite
         root_paths.append(tuple(p))
     root = CTNode({i: empty for i in range(inst.k)}, tuple(root_paths),
@@ -200,8 +178,7 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
     open_heap = [(root.cost, 0, root)]
     while open_heap:
         if deadline is not None and time.monotonic() > deadline:
-            stats.runtime = time.monotonic() - t0
-            return SolveResult(STATUS_TIMEOUT, stats=stats)
+            return finish(stats, t0, STATUS_TIMEOUT)
         cost, _, node = heapq.heappop(open_heap)
         if cost > xi_cap:
             capped = True
@@ -209,21 +186,16 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
         stats.ct_nodes += 1
         collisions = joint_collisions(inst, node.paths)
         pick = next((c for c in collisions if not c.degenerate), None)
+        padded, _ = padded_configs(node.paths)
         if pick is None:
             if collisions:
                 # unreachable by the pigeonhole argument above
                 raise RuntimeError("only degenerate collisions in joint plan")
-            stats.runtime = time.monotonic() - t0
-            padded, _ = padded_configs(node.paths)
-            plan = make_plan(padded)
-            stats.xi = plan.cost
-            stats.mu = plan.makespan
-            return SolveResult(STATUS_SOLVED, cost, plan, stats)
-        padded, _ = padded_configs(node.paths)
+            return finish(stats, t0, STATUS_SOLVED, make_plan(padded))
         for c in _branch_constraints(inst, pick, padded):
             item = c.item
             cs = node.constraints[item].with_constraint(c)
-            p = _replan(inst, adj, dist, item, cs, 0)
+            p = _replan(inst, adj, dist, item, cs)
             if p is None:
                 continue
             child_constraints = dict(node.constraints)
@@ -238,6 +210,5 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
                 open_heap,
                 (child_cost, counter, CTNode(child_constraints, child_paths, child_cost)),
             )
-    stats.runtime = time.monotonic() - t0
     # an empty open list certifies unsolvability; hitting the cap does not
-    return SolveResult(STATUS_LIMIT if capped else STATUS_UNSOLVABLE, stats=stats)
+    return finish(stats, t0, STATUS_LIMIT if capped else STATUS_UNSOLVABLE)

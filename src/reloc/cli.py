@@ -14,6 +14,8 @@ resource limit, 4 unsolvable.
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import os
 import shlex
 import subprocess
@@ -21,12 +23,9 @@ import sys
 import tempfile
 
 from . import bench
-from .cbs import cbs_solve
 from .graphs import build_graph, make_clique, make_grid, make_random, make_star
-from .oracle import oracle_solve
 from .relocation import Instance, Variant, validate
 from .satcore import to_dimacs
-from .solvers import mdd_sat_solve, smt_cbs_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -211,70 +210,58 @@ def _print_plan(plan) -> None:
 
 
 def _cmd_solve(args) -> int:
+    solve = bench.SOLVERS[args.algo]
+    if args.stats and not os.path.isdir(os.path.dirname(os.path.abspath(args.stats))):
+        print(f"error: --stats {args.stats}: no such directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        with open(args.infile) as fh:
+        with open(args.infile, encoding="utf-8") as fh:
             inst = parse_instance(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InstanceFormatError as exc:
+    except (InstanceFormatError, UnicodeDecodeError) as exc:
         print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    backend = None
+    options = {}
     if args.sat != "internal":
+        if "sat" not in inspect.signature(solve).parameters:
+            print(f"error: --sat does not apply to {args.algo}", file=sys.stderr)
+            return EXIT_USAGE
         if not args.sat.startswith("dimacs:"):
             print("error: --sat must be 'internal' or 'dimacs:CMD'", file=sys.stderr)
             return EXIT_USAGE
         try:
-            backend = make_dimacs_backend(args.sat[len("dimacs:"):])
+            options["sat"] = make_dimacs_backend(args.sat[len("dimacs:"):])
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    if args.algo == "oracle":
-        try:
-            res = oracle_solve(inst)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        status, xi, plan = res.status, res.xi, res.plan
-        row = bench.MetricsRow(
-            os.path.basename(args.infile), "file", inst.variant.value,
-            "oracle", inst.graph.n, inst.k, 0, status == "solved", status,
-            xi, plan.makespan if plan else None, 0.0, 0.0, 0, 0, 0, 0, 0,
-        )
-    else:
-        if args.algo == "cbs":
-            res = cbs_solve(inst, timeout=args.timeout)
-        elif args.algo == "mddsat":
-            res = mdd_sat_solve(inst, timeout=args.timeout, sat=backend)
-        else:
-            res = smt_cbs_solve(inst, timeout=args.timeout, sat=backend)
-        status, xi, plan = res.status, res.xi, res.plan
-        s = res.stats
-        row = bench.MetricsRow(
-            os.path.basename(args.infile), "file", inst.variant.value,
-            args.algo, inst.graph.n, inst.k, 0, status == "solved", status,
-            xi, s.mu, s.runtime * 1000.0, s.sat_time * 1000.0,
-            s.sat_calls, s.clauses, s.variables, s.refinements, s.ct_nodes,
-        )
-
+    try:
+        res = solve(inst, timeout=args.timeout, **options)
+    except ValueError as exc:  # the oracle's size caps
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    row = bench.MetricsRow.from_result(
+        res, inst, os.path.basename(args.infile), "file", 0)
     if args.stats:
         new = not os.path.exists(args.stats) or os.path.getsize(args.stats) == 0
-        with open(args.stats, "a") as fh:
-            if new:
-                fh.write(bench.rows_to_csv([row]))
-            else:
-                fh.write(bench.rows_to_csv([row]).split("\n", 1)[1])
+        text = bench.rows_to_csv([row])
+        try:
+            with open(args.stats, "a") as fh:
+                fh.write(text if new else text.split("\n", 1)[1])
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
-    if status == "solved":
-        if validate(inst, plan):
+    if res.status == "solved":
+        if validate(inst, res.plan):
             raise RuntimeError("solver returned an invalid plan")
-        _print_plan(plan)
+        _print_plan(res.plan)
         return EXIT_OK
-    if status in ("timeout", "limit"):
-        print(f"{status}: no answer within the configured budget", file=sys.stderr)
+    if res.status in ("timeout", "limit"):
+        print(f"{res.status}: no answer within the configured budget", file=sys.stderr)
         return EXIT_TIMEOUT
     print("unsolvable", file=sys.stderr)
     return EXIT_UNSOLVABLE
@@ -283,7 +270,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     algos = tuple(args.algos.split(","))
     for a in algos:
-        if a not in ("cbs", "mddsat", "smtcbs", "oracle"):
+        if a not in bench.SOLVERS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return EXIT_USAGE
     def progress(row):
@@ -306,6 +293,14 @@ def _cmd_bench(args) -> int:
         fh.write(bench.summary_to_csv(cells))
     print(bench.summary_table(cells))
     return EXIT_OK
+
+
+def _budget(text: str) -> float:
+    """A --timeout value: finite seconds, not negative."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"not a budget in seconds: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,20 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     s = sub.add_parser("solve", help="solve an instance file")
-    s.add_argument("--algo", required=True,
-                   choices=("cbs", "mddsat", "smtcbs", "oracle"))
+    s.add_argument("--algo", required=True, choices=sorted(bench.SOLVERS))
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--timeout", type=float, default=60.0)
+    s.add_argument("--timeout", type=_budget, default=60.0)
     s.add_argument("--stats", help="append a metrics CSV row to this file")
     s.add_argument("--sat", default="internal",
-                   help="'internal' or 'dimacs:CMD' for an external solver")
+                   help="'internal' or 'dimacs:CMD' for an external solver "
+                        "(mddsat and smtcbs only)")
     s.set_defaults(func=_cmd_solve)
 
     b = sub.add_parser("bench", help="run a benchmark suite")
     b.add_argument("--suite", default="paper-small",
                    choices=sorted(bench.SUITES))
     b.add_argument("--seeds", type=int, default=10)
-    b.add_argument("--timeout", type=float, default=60.0)
+    b.add_argument("--timeout", type=_budget, default=60.0)
     b.add_argument("--algos", default="cbs,mddsat,smtcbs")
     b.add_argument("--out", required=True, help="per-run CSV path")
     b.add_argument("--verbose", action="store_true")

@@ -73,10 +73,6 @@ class Mdd:
     levels: tuple[tuple[int, ...], ...]
     arcs: tuple[tuple[tuple[int, int], ...], ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
 
 def build_mdd(inst: Instance, item: int, xi: int) -> Mdd:
     dist = effective_distances(inst)
@@ -121,16 +117,16 @@ class VarMap:
         for i, mdd in enumerate(self.mdds):
             for t, lvl in enumerate(mdd.levels):
                 for v in lvl:
-                    self._x[i, v, t] = formula.new_var(("x", i, v, t))
+                    self._x[i, v, t] = formula.new_var()
             for t, lvl_arcs in enumerate(mdd.arcs):
                 for u, v in lvl_arcs:
-                    self._e[i, u, v, t] = formula.new_var(("e", i, u, v, t))
+                    self._e[i, u, v, t] = formula.new_var()
         dist = effective_distances(inst)
         delta = xi - lower_bound(inst)
         for i in range(inst.k):
             d = dist(inst.starts[i], inst.goals[i])
             for t in range(d, d + delta):
-                self._u[i, t] = formula.new_var(("u", i, t))
+                self._u[i, t] = formula.new_var()
 
     def x(self, i, v, t):
         return self._x.get((i, v, t))
@@ -159,7 +155,7 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> None:
             formula.add_clause([-lit])
         return
     # registers s[i][j]: at least j+1 of the first i+1 literals are true
-    s = [[formula.new_var(("card", i, j)) for j in range(k)] for i in range(n)]
+    s = [[formula.new_var() for _ in range(k)] for _ in range(n)]
     formula.add_clause([-lits[0], s[0][0]])
     for j in range(1, k):
         formula.add_clause([-s[0][j]])

@@ -5,15 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-# Sentinel hop distance for unreachable pairs; additions saturate at INF.
+# Sentinel hop distance for unreachable pairs.
 INF = 1 << 30
-
-
-def sat_add(a: int, b: int) -> int:
-    """Saturating addition over hop distances."""
-    if a >= INF or b >= INF:
-        return INF
-    return a + b
 
 
 @dataclass(frozen=True)
@@ -32,9 +25,6 @@ class Graph:
         if u > v:
             u, v = v, u
         return (u, v) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
 
 def build_graph(n: int, edge_iter) -> Graph:

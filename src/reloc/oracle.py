@@ -15,19 +15,20 @@ the variant; settled items act as stationary occupants.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import time
 
-from .relocation import Instance, Plan, Variant, make_plan
+from .relocation import Instance, Variant, make_plan
+from .result import (
+    STATUS_LIMIT,
+    STATUS_SOLVED,
+    STATUS_UNSOLVABLE,
+    SolveResult,
+    SolveStats,
+    finish,
+)
 
 DEFAULT_VERTEX_CAP = 10
 DEFAULT_ITEM_CAP = 5
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    status: str  # "solved" | "unsolvable" | "limit"
-    xi: int | None = None
-    plan: Plan | None = None
 
 
 def _mapf_steps(inst: Instance, pos, movable):
@@ -204,8 +205,10 @@ def is_solvable(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
 
 
 def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
-                 item_cap=DEFAULT_ITEM_CAP, state_cap=2_000_000) -> OracleResult:
+                 item_cap=DEFAULT_ITEM_CAP, state_cap=2_000_000) -> SolveResult:
     """Minimum sum-of-costs by Dijkstra over (positions, settled-mask)."""
+    t0 = time.monotonic()
+    stats = SolveStats(algorithm="oracle")
     _check_caps(inst, vertex_cap, item_cap)
     k = inst.k
     goals = inst.goals
@@ -225,7 +228,7 @@ def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
             best_goal = state
             break
         if len(dist) > state_cap:
-            return OracleResult("limit")
+            return finish(stats, t0, STATUS_LIMIT)
         succs = []
         # settle any one unsettled item already at its goal (free)
         for i in range(k):
@@ -246,7 +249,7 @@ def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
                 heapq.heappush(heap, (nd, seq, nstate))
 
     if best_goal is None:
-        return OracleResult("unsolvable")
+        return finish(stats, t0, STATUS_UNSOLVABLE)
     # reconstruct configuration sequence, collapsing settle transitions
     configs = []
     state = best_goal
@@ -258,4 +261,6 @@ def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
     configs.reverse()
     paths = tuple(tuple(cfg[i] for cfg in configs) for i in range(k))
     plan = make_plan(paths)
-    return OracleResult("solved", dist[best_goal], plan)
+    if plan.cost != dist[best_goal]:
+        raise RuntimeError("reconstructed plan does not cost the optimum found")
+    return finish(stats, t0, STATUS_SOLVED, plan)

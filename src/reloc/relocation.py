@@ -208,10 +208,8 @@ def step_legal(inst: Instance, cur, nxt, t: int = 0) -> list[Collision]:
     return step_collisions(inst, tuple(cur), tuple(nxt), t)
 
 
-def validate(inst: Instance, plan: Plan) -> list[Collision]:
-    """Collision report for a whole plan; empty iff the plan is a solution."""
-    paths = plan.paths
-    _check_structure(inst, paths)
+def plan_collisions(inst: Instance, paths) -> list[Collision]:
+    """Collisions of every step of paths that share a common length, sorted."""
     collisions: list[Collision] = []
     for t in range(len(paths[0]) - 1):
         cur = tuple(p[t] for p in paths)
@@ -219,6 +217,12 @@ def validate(inst: Instance, plan: Plan) -> list[Collision]:
         collisions.extend(step_collisions(inst, cur, nxt, t))
     collisions.sort(key=Collision.sort_key)
     return collisions
+
+
+def validate(inst: Instance, plan: Plan) -> list[Collision]:
+    """Collision report for a whole plan; empty iff the plan is a solution."""
+    _check_structure(inst, plan.paths)
+    return plan_collisions(inst, plan.paths)
 
 
 def random_instance(g: Graph, variant: Variant, k: int, seed: int) -> Instance:

@@ -18,17 +18,14 @@ class SatError(Exception):
 
 
 class CnfFormula:
-    """Variable pool plus clause list, with optional per-variable annotations."""
+    """Variable pool plus clause list."""
 
     def __init__(self):
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.annotations: dict[int, tuple] = {}
 
-    def new_var(self, annotation: tuple | None = None) -> int:
+    def new_var(self) -> int:
         self.num_vars += 1
-        if annotation is not None:
-            self.annotations[self.num_vars] = annotation
         return self.num_vars
 
     def add_clause(self, lits) -> None:
@@ -44,9 +41,8 @@ class CnfFormula:
         )
 
 
-def to_dimacs(f: CnfFormula, comments=()) -> str:
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
+def to_dimacs(f: CnfFormula) -> str:
+    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for clause in f.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
@@ -472,18 +468,6 @@ class SatSolver:
                     }
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
-
-
-def incremental_solve(session: "SatSolver", new_clauses=(), timeout: float | None = None):
-    """Add clauses to a live solver session and re-solve.
-
-    The session keeps learned clauses, variable activity, and as much of the
-    current trail as the new clauses allow.
-    """
-    for clause in new_clauses:
-        session.add_clause(list(clause))
-    deadline = None if timeout is None else time.monotonic() + timeout
-    return session.solve(deadline)
 
 
 def solve(f: CnfFormula, timeout: float | None = None):

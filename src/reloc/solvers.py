@@ -17,16 +17,7 @@ from __future__ import annotations
 
 import time
 
-from .cbs import (
-    STATUS_LIMIT,
-    STATUS_SOLVED,
-    STATUS_TIMEOUT,
-    STATUS_UNSOLVABLE,
-    SolveResult,
-    SolveStats,
-    cost_cutoff,
-    solvability_precheck,
-)
+from .cbs import search_cap
 from .encoder import (
     ConflictRecord,
     clause_for_record,
@@ -36,8 +27,16 @@ from .encoder import (
     lower_bound,
     record_from_collision,
 )
-from .graphs import INF
 from .relocation import Instance, validate
+from .result import (
+    STATUS_LIMIT,
+    STATUS_SOLVED,
+    STATUS_TIMEOUT,
+    STATUS_UNSOLVABLE,
+    SolveResult,
+    SolveStats,
+    finish,
+)
 from . import satcore as satmod
 
 
@@ -47,147 +46,98 @@ def _record_key(rec: ConflictRecord):
             -1 if rec.u is None else rec.u)
 
 
-def _remaining(deadline):
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
+def _climb(inst: Instance, timeout, xi_cap, stats: SolveStats,
+           test_bound) -> SolveResult:
+    """Raise the cost bound from the lower bound until test_bound(xi,
+    deadline) returns a plan; it may also return "UNSAT" or "TIMEOUT"."""
+    t0 = time.monotonic()
+    deadline = None if timeout is None else t0 + timeout
+    cap = search_cap(inst, xi_cap)
+    if cap is None:
+        return finish(stats, t0, STATUS_UNSOLVABLE)
+    xi = lower_bound(inst)
+    while xi <= cap:
+        outcome = test_bound(xi, deadline)
+        if outcome == "TIMEOUT":
+            return finish(stats, t0, STATUS_TIMEOUT)
+        if outcome != "UNSAT":
+            return finish(stats, t0, STATUS_SOLVED, outcome)
+        xi += 1
+    return finish(stats, t0, STATUS_LIMIT)
+
+
+def _sat_call(stats: SolveStats, solve, deadline):
+    """solve(budget) timed into stats, or "TIMEOUT" when no time is left."""
+    budget = None if deadline is None else deadline - time.monotonic()
+    if budget is not None and budget <= 0:
+        return "TIMEOUT"
+    t1 = time.monotonic()
+    model = solve(budget)
+    stats.sat_time += time.monotonic() - t1
+    stats.sat_calls += 1
+    return model
 
 
 def mdd_sat_solve(inst: Instance, timeout: float | None = None,
                   sat=None, xi_cap: int | None = None) -> SolveResult:
     """Optimal solve by eager encoding of increasing cost bounds."""
-    t0 = time.monotonic()
-    deadline = None if timeout is None else t0 + timeout
     sat = sat or satmod.solve
     stats = SolveStats(algorithm="mddsat")
 
-    solvable = solvability_precheck(inst)
-    if solvable is False:
-        stats.runtime = time.monotonic() - t0
-        return SolveResult(STATUS_UNSOLVABLE, stats=stats)
-    if xi_cap is None:
-        xi_cap = INF if solvable else cost_cutoff(inst)
-
-    xi = lower_bound(inst)
-    while xi <= xi_cap:
+    def test_bound(xi, deadline):
         formula, vm = encode_full(inst, xi)
         stats.clauses = len(formula.clauses)
         stats.variables = formula.num_vars
-        budget = _remaining(deadline)
-        if budget is not None and budget <= 0:
-            break
-        t1 = time.monotonic()
-        model = sat(formula, budget)
-        stats.sat_time += time.monotonic() - t1
-        stats.sat_calls += 1
-        if model == "TIMEOUT":
-            break
-        if model != "UNSAT":
-            plan = extract_plan(vm, model)
-            residual = validate(inst, plan)
-            if residual:
-                raise RuntimeError(f"full encoding produced invalid plan: {residual[0]}")
-            stats.runtime = time.monotonic() - t0
-            stats.xi = plan.cost
-            stats.mu = plan.makespan
-            return SolveResult(STATUS_SOLVED, plan.cost, plan, stats)
-        xi += 1
-    stats.runtime = time.monotonic() - t0
-    if deadline is not None and time.monotonic() > deadline:
-        return SolveResult(STATUS_TIMEOUT, stats=stats)
-    return SolveResult(STATUS_LIMIT, stats=stats)
+        model = _sat_call(stats, lambda budget: sat(formula, budget), deadline)
+        if not isinstance(model, dict):
+            return model
+        plan = extract_plan(vm, model)
+        residual = validate(inst, plan)
+        if residual:
+            raise RuntimeError(f"full encoding produced invalid plan: {residual[0]}")
+        return plan
 
-
-class _Session:
-    """One solving context per cost bound: either the incremental internal
-    solver or an external callable re-solving the accumulated formula."""
-
-    def __init__(self, formula, backend):
-        self.formula = formula
-        self.backend = backend
-        self.solver = None
-        if backend is None:
-            self.solver = satmod.SatSolver()
-            self.solver.ensure_vars(formula.num_vars)
-            for clause in formula.clauses:
-                self.solver.add_clause(clause)
-
-    def add_clause(self, clause):
-        self.formula.add_clause(clause)
-        if self.solver is not None:
-            self.solver.add_clause(clause)
-
-    def solve(self, budget):
-        # no model replay here: satisfying assignments are checked by plan
-        # extraction and validation, and UNSAT answers end the bound anyway
-        if self.solver is not None:
-            deadline = None if budget is None else time.monotonic() + budget
-            return self.solver.solve(deadline)
-        return self.backend(self.formula, budget)
-
-
-def refine_for_variant(inst: Instance, collision, vm):
-    """Ground refinement clause for one collision under vm's variables, or
-    None when every assignment exhibiting the collision is already ruled out
-    by variable absence."""
-    return clause_for_record(record_from_collision(inst, collision), vm)
+    return _climb(inst, timeout, xi_cap, stats, test_bound)
 
 
 def smt_cbs_solve(inst: Instance, timeout: float | None = None,
-                  sat=None, xi_cap: int | None = None,
-                  incremental: bool = True) -> SolveResult:
+                  sat=None, xi_cap: int | None = None) -> SolveResult:
     """Optimal solve by lazy encoding with validation-driven refinement.
 
-    incremental=False re-solves the accumulated formula from scratch after
-    every refinement (slower; kept for equivalence testing).
+    With the internal solver each bound keeps one incremental SatSolver
+    across refinements; an external sat callable re-solves the accumulated
+    formula from scratch after every refinement.
     """
-    t0 = time.monotonic()
-    deadline = None if timeout is None else t0 + timeout
     stats = SolveStats(algorithm="smtcbs")
-
-    solvable = solvability_precheck(inst)
-    if solvable is False:
-        stats.runtime = time.monotonic() - t0
-        return SolveResult(STATUS_UNSOLVABLE, stats=stats)
-    if xi_cap is None:
-        xi_cap = INF if solvable else cost_cutoff(inst)
-
     records: set[ConflictRecord] = set()
-    xi = lower_bound(inst)
-    while xi <= xi_cap:
-        ordered = sorted(records, key=_record_key)
-        formula, vm = encode_basic(inst, xi, ordered)
-        backend = sat if sat is not None else (None if incremental else satmod.solve)
-        session = _Session(formula, backend)
+
+    def test_bound(xi, deadline):
+        formula, vm = encode_basic(inst, xi, sorted(records, key=_record_key))
+        stats.clauses = len(formula.clauses)
+        stats.variables = formula.num_vars
         # clause-level duplicate guard for this bound
         emitted = {tuple(sorted(c)) for c in formula.clauses}
         if len(emitted) != len(formula.clauses):
             raise RuntimeError("duplicate clause in initial lazy encoding")
-        timed_out = False
+        solver = None
+        if sat is None:
+            solver = satmod.SatSolver(formula.num_vars)
+            for clause in formula.clauses:
+                solver.add_clause(clause)
+
+        def solve(budget):
+            # no model replay for the internal solver: satisfying assignments
+            # are checked by plan extraction and validation
+            return sat(formula, budget) if solver is None else solver.solve(deadline)
+
         while True:
-            budget = _remaining(deadline)
-            if budget is not None and budget <= 0:
-                timed_out = True
-                break
-            t1 = time.monotonic()
-            model = session.solve(budget)
-            stats.sat_time += time.monotonic() - t1
-            stats.sat_calls += 1
-            if model == "TIMEOUT":
-                timed_out = True
-                break
-            if model == "UNSAT":
-                break  # no solution of cost <= xi exists; raise the bound
+            model = _sat_call(stats, solve, deadline)
+            if not isinstance(model, dict):
+                return model
             plan = extract_plan(vm, model)
             collisions = validate(inst, plan)
             if not collisions:
-                stats.clauses = len(formula.clauses)
-                stats.variables = formula.num_vars
-                stats.conflicts_stored = len(records)
-                stats.runtime = time.monotonic() - t0
-                stats.xi = plan.cost
-                stats.mu = plan.makespan
-                return SolveResult(STATUS_SOLVED, plan.cost, plan, stats)
+                return plan
             new_recs = sorted(
                 {record_from_collision(inst, c) for c in collisions},
                 key=_record_key,
@@ -206,19 +156,15 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
                     # always yields a fresh clause
                     continue
                 emitted.add(key)
-                session.add_clause(clause)
+                formula.add_clause(clause)
+                if solver is not None:
+                    solver.add_clause(clause)
                 added += 1
-                stats.refinements += 1
             if added == 0:
                 raise RuntimeError(
                     "refinement stalled: every collision clause already present"
                 )
-        stats.clauses = len(formula.clauses)
-        stats.variables = formula.num_vars
-        stats.conflicts_stored = len(records)
-        if timed_out:
-            stats.runtime = time.monotonic() - t0
-            return SolveResult(STATUS_TIMEOUT, stats=stats)
-        xi += 1
-    stats.runtime = time.monotonic() - t0
-    return SolveResult(STATUS_LIMIT, stats=stats)
+            stats.refinements += added
+            stats.clauses = len(formula.clauses)
+
+    return _climb(inst, timeout, xi_cap, stats, test_bound)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 
 import pytest
@@ -6,6 +7,7 @@ from reloc.bench import (
     CSV_HEADER,
     MetricsRow,
     RUNTIME_COLUMNS,
+    SOLVERS,
     make_family,
     read_csv,
     rows_to_csv,
@@ -16,6 +18,7 @@ from reloc.bench import (
     summary_table,
     summary_to_csv,
 )
+from reloc.cli import build_parser
 from reloc.relocation import TOKEN_VARIANTS, Variant
 
 
@@ -125,6 +128,24 @@ def test_run_one_produces_consistent_row():
     xis = {run_one(inst, "grid3", 0, a, 30).xi
            for a in ("cbs", "mddsat", "smtcbs", "oracle")}
     assert len(xis) == 1
+
+
+def test_registry_drives_the_cli_and_the_csv():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    algo = next(a for a in sub.choices["solve"]._actions if a.dest == "algo")
+    assert list(algo.choices) == sorted(SOLVERS)
+    inst = suite_instance("star8", Variant.TPERM, 3, 1)
+    for algorithm in SOLVERS:
+        r = run_one(inst, "star8", 1, algorithm, timeout=30)
+        assert r.algorithm == algorithm and r.solved
+        text = rows_to_csv([r])
+        (back,) = read_csv(text)
+        # runtimes are written to the microsecond; everything else exactly
+        assert back == dataclasses.replace(
+            r, runtime_ms=float(f"{r.runtime_ms:.3f}"),
+            sat_time_ms=float(f"{r.sat_time_ms:.3f}"))
+        assert rows_to_csv([back]) == text
 
 
 def test_run_suite_deterministic_modulo_runtime():

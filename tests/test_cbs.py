@@ -9,9 +9,11 @@ from reloc.cbs import (
     padded_configs,
     solvability_precheck,
 )
+from reloc.bench import suite_instance
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
 from reloc.relocation import Instance, Variant, plan_cost, random_instance, validate
+from reloc.solvers import mdd_sat_solve, smt_cbs_solve
 
 EDGE2 = build_graph(2, [(0, 1)])
 PATH3 = build_graph(3, [(0, 1), (1, 2)])
@@ -36,6 +38,19 @@ def test_solvability_precheck():
     # unreachable goal is a definite no for every variant
     g = build_graph(4, [(0, 1), (2, 3)])
     assert solvability_precheck(Instance(g, Variant.MAPF, (0,), (3,))) is False
+
+
+@pytest.mark.parametrize("solver", [cbs_solve, mdd_sat_solve, smt_cbs_solve])
+def test_few_trot_tokens_on_a_large_grid_are_proved_unsolvable(solver):
+    # tokens never leave the support, so the reachability check stays small
+    # however large the graph is
+    grid8 = make_grid(8, 8)
+    cases = [Instance(grid8, Variant.TROT, (0, 1), (1, 0))] + [
+        suite_instance("grid8", Variant.TROT, k, seed)
+        for k in (4, 5) for seed in range(5)
+    ]
+    for inst in cases:
+        assert solver(inst, timeout=0.1).status == STATUS_UNSOLVABLE, inst
 
 
 def test_cbs_matches_oracle_on_small_instances():

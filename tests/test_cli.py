@@ -237,3 +237,37 @@ def test_bad_sat_argument(tmp_path, capsys):
     path = write(tmp_path, "i.txt", SWAP_TEXT)
     assert main(["solve", "--algo", "smtcbs", "--in", path,
                  "--sat", "minisat"]) == EXIT_USAGE
+
+
+# --- bad input exits with a message, not a traceback ---------------------------
+
+def test_solve_rejects_input_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "i.txt"
+    path.write_bytes(SWAP_TEXT.encode() + b"# \xff\xfe\n")
+    assert main(["solve", "--algo", "cbs", "--in", str(path)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_checks_the_stats_directory_before_solving(tmp_path, capsys):
+    path = write(tmp_path, "i.txt", SWAP_TEXT)
+    stats = str(tmp_path / "missing" / "stats.csv")
+    assert main(["solve", "--algo", "cbs", "--in", path,
+                 "--stats", stats]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and "no such directory" in out.err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "-1", "inf", "soon"])
+def test_solve_rejects_a_timeout_that_is_not_a_budget(tmp_path, capsys, timeout):
+    path = write(tmp_path, "i.txt", SWAP_TEXT)
+    assert main(["solve", "--algo", "cbs", "--in", path,
+                 "--timeout", timeout]) == EXIT_USAGE
+    assert "--timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["cbs", "oracle"])
+def test_sat_backend_is_refused_by_solvers_without_sat(tmp_path, capsys, algo):
+    path = write(tmp_path, "i.txt", SWAP_TEXT)
+    assert main(["solve", "--algo", algo, "--in", path,
+                 "--sat", "dimacs:minisat"]) == EXIT_USAGE
+    assert "does not apply" in capsys.readouterr().err

@@ -57,7 +57,7 @@ def test_mdd_level_zero_is_start_and_last_contains_goal():
             mdd = build_mdd(i, item, xi)
             assert mdd.levels[0] == (i.starts[item],)
             assert i.goals[item] in mdd.levels[-1]
-            assert mdd.depth == makespan_bound(i, xi)
+            assert len(mdd.levels) - 1 == makespan_bound(i, xi)
 
 
 def test_mdd_arcs_connect_adjacent_levels():
@@ -70,7 +70,7 @@ def test_mdd_arcs_connect_adjacent_levels():
             assert u == v or g.has_edge(u, v)
     # every non-final level vertex has an outgoing arc and every non-initial
     # level vertex an incoming one (no dead ends by construction)
-    for t in range(mdd.depth):
+    for t in range(len(mdd.arcs)):
         outs = {u for u, _ in mdd.arcs[t]}
         ins = {v for _, v in mdd.arcs[t]}
         assert set(mdd.levels[t]) <= outs
@@ -84,14 +84,14 @@ def test_mdd_zero_slack_is_geodesic_diamond():
     # with no slack every vertex on a level lies on some shortest path
     assert mdd.levels[0] == (0,) and mdd.levels[-1] == (8,)
     assert all(len(lvl) >= 1 for lvl in mdd.levels)
-    assert all(u != v for t in range(mdd.depth) for u, v in mdd.arcs[t])
+    assert all(u != v for t in range(len(mdd.arcs)) for u, v in mdd.arcs[t])
 
 
 def test_mdd_goal_tail_present_with_slack():
     i = Instance(PATH4, Variant.MAPF, (0, 3), (1, 2))
     mdd = build_mdd(i, 0, 4)  # two units of slack
     d = 1
-    for t in range(d, mdd.depth + 1):
+    for t in range(d, len(mdd.levels)):
         assert i.goals[0] in mdd.levels[t]
 
 

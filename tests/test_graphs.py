@@ -10,7 +10,6 @@ from reloc.graphs import (
     make_grid,
     make_random,
     make_star,
-    sat_add,
 )
 
 
@@ -76,7 +75,8 @@ def test_distances_match_floyd_warshall():
     ref = [[0 if i == j else (1 if g.has_edge(i, j) else INF) for j in range(n)]
            for i in range(n)]
     for m, i, j in itertools.product(range(n), repeat=3):
-        ref[i][j] = min(ref[i][j], sat_add(ref[i][m], ref[m][j]))
+        # a sum through an unreachable pair exceeds INF and never wins
+        ref[i][j] = min(ref[i][j], ref[i][m] + ref[m][j])
     for i in range(n):
         for j in range(n):
             assert dt(i, j) == ref[i][j]
@@ -87,4 +87,3 @@ def test_distances_unreachable_is_inf():
     dt = all_pairs_distances(g)
     assert dt(0, 1) == 1
     assert dt(0, 2) == INF
-    assert sat_add(dt(0, 2), 5) == INF

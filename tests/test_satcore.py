@@ -8,7 +8,6 @@ from reloc.satcore import (
     SatError,
     SatSolver,
     from_dimacs,
-    incremental_solve,
     solve,
     to_dimacs,
 )
@@ -114,7 +113,9 @@ def test_incremental_matches_scratch():
             s.add_clause(list(c))
         first = s.solve()
         # add the rest mid-session, possibly after a model was returned
-        res = incremental_solve(s, clauses[cut:])
+        for c in clauses[cut:]:
+            s.add_clause(list(c))
+        res = s.solve()
         want = brute_force(nv, clauses)
         if want is None:
             assert res == "UNSAT", f"trial {trial}"
@@ -132,7 +133,8 @@ def test_incremental_tightening_to_unsat():
     for res_expected, clause in [
         (dict, [-1]), (dict, [-2]), (str, [-3]),
     ]:
-        res = incremental_solve(s, [clause])
+        s.add_clause(clause)
+        res = s.solve()
         if res_expected is dict:
             assert isinstance(res, dict)
         else:
@@ -147,7 +149,8 @@ def test_incremental_unit_after_model():
     m = s.solve()
     assert isinstance(m, dict)
     picked = 1 if m[1] else 2
-    res = incremental_solve(s, [[-picked]])
+    s.add_clause([-picked])
+    res = s.solve()
     assert isinstance(res, dict) and not res[picked]
 
 
@@ -155,7 +158,7 @@ def test_incremental_unit_after_model():
 
 def test_dimacs_round_trip():
     f = formula_of(3, [[1, -2], [2, 3], [-3]])
-    text = to_dimacs(f, comments=["hello"])
+    text = to_dimacs(f)
     g = from_dimacs(text)
     assert g.num_vars == f.num_vars and g.clauses == f.clauses
 

@@ -1,7 +1,7 @@
 import pytest
 
-from reloc.cbs import STATUS_SOLVED, STATUS_UNSOLVABLE
-from reloc.encoder import encode_basic, lower_bound
+from reloc import satcore
+from reloc.encoder import clause_for_record, encode_basic, lower_bound, record_from_collision
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
 from reloc.relocation import (
@@ -13,7 +13,8 @@ from reloc.relocation import (
     random_instance,
     validate,
 )
-from reloc.solvers import mdd_sat_solve, refine_for_variant, smt_cbs_solve
+from reloc.result import STATUS_SOLVED, STATUS_UNSOLVABLE
+from reloc.solvers import mdd_sat_solve, smt_cbs_solve
 
 EDGE2 = build_graph(2, [(0, 1)])
 PATH3 = build_graph(3, [(0, 1), (1, 2)])
@@ -64,14 +65,12 @@ def test_lazy_never_needs_more_clauses_than_eager():
 def test_non_incremental_mode_equivalent():
     for seed in range(5):
         inst = random_instance(make_grid(3, 3), Variant.TPERM, 3, seed)
-        a = smt_cbs_solve(inst, timeout=30, incremental=True)
-        b = smt_cbs_solve(inst, timeout=30, incremental=False)
+        a = smt_cbs_solve(inst, timeout=30)
+        b = smt_cbs_solve(inst, timeout=30, sat=satcore.solve)
         assert a.status == b.status and a.xi == b.xi
 
 
 def test_external_backend_hook():
-    from reloc import satcore
-
     calls = []
 
     def backend(formula, budget):
@@ -89,7 +88,7 @@ def test_refine_for_variant_grounds_vertex_collision():
     inst = random_instance(make_grid(3, 3), Variant.MAPF, 2, 0)
     _, vm = encode_basic(inst, lower_bound(inst) + 1)
     col = Collision(KIND_VERTEX, (0, 1), inst.starts[0], 0)
-    clause = refine_for_variant(inst, col, vm)
+    clause = clause_for_record(record_from_collision(inst, col), vm)
     a = vm.x(0, inst.starts[0], 0)
     if vm.x(1, inst.starts[0], 0) is None:
         assert clause is None
