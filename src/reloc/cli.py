@@ -169,7 +169,18 @@ def _parse_solver_output(text: str, num_vars: int):
     return model
 
 
+def _missing_dir(option: str, path: str) -> bool:
+    """Report, before any work is done, an output path whose directory is
+    missing; True when it was reported."""
+    if os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        return False
+    print(f"error: {option} {path}: no such directory", file=sys.stderr)
+    return True
+
+
 def _cmd_generate(args) -> int:
+    if args.out != "-" and _missing_dir("--out", args.out):
+        return EXIT_USAGE
     try:
         if args.family == "grid":
             if "x" in args.size:
@@ -197,8 +208,12 @@ def _cmd_generate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -211,8 +226,7 @@ def _print_plan(plan) -> None:
 
 def _cmd_solve(args) -> int:
     solve = bench.SOLVERS[args.algo]
-    if args.stats and not os.path.isdir(os.path.dirname(os.path.abspath(args.stats))):
-        print(f"error: --stats {args.stats}: no such directory", file=sys.stderr)
+    if args.stats and _missing_dir("--stats", args.stats):
         return EXIT_USAGE
     try:
         with open(args.infile, encoding="utf-8") as fh:
@@ -273,6 +287,9 @@ def _cmd_bench(args) -> int:
         if a not in bench.SOLVERS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return EXIT_USAGE
+    if _missing_dir("--out", args.out):
+        return EXIT_USAGE
+
     def progress(row):
         if args.verbose:
             print(f"  {row.instance_id} {row.algorithm}: {row.status}"
@@ -284,13 +301,17 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.out, "w") as fh:
-        fh.write(bench.rows_to_csv(rows))
     cells = bench.summarize(rows)
     root, ext = os.path.splitext(args.out)
     summary_path = f"{root}.summary{ext or '.csv'}"
-    with open(summary_path, "w") as fh:
-        fh.write(bench.summary_to_csv(cells))
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(bench.rows_to_csv(rows))
+        with open(summary_path, "w") as fh:
+            fh.write(bench.summary_to_csv(cells))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(bench.summary_table(cells))
     return EXIT_OK
 

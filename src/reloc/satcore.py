@@ -9,8 +9,10 @@ can be plugged in through the DIMACS contract.
 
 from __future__ import annotations
 
-import heapq
 import time
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import neg
 
 
 class SatError(Exception):
@@ -36,9 +38,12 @@ class CnfFormula:
         self.clauses.append(lits)
 
     def check_model(self, model: dict[int, bool]) -> bool:
-        return all(
-            any(model[abs(l)] == (l > 0) for l in clause) for clause in self.clauses
-        )
+        """True when model assigns every variable and satisfies every clause."""
+        try:
+            true = {v if model[v] else -v for v in range(1, self.num_vars + 1)}
+        except KeyError:
+            return False
+        return not any(map(true.isdisjoint, self.clauses))
 
 
 def to_dimacs(f: CnfFormula) -> str:
@@ -110,20 +115,34 @@ def _luby(x: int) -> int:
 class SatSolver:
     """Incremental CDCL solver. Clauses may be added between solve() calls;
     learned clauses are kept, so repeated solving over a growing formula is
-    equivalent to solving the accumulated formula from scratch."""
+    equivalent to solving the accumulated formula from scratch.
 
-    def __init__(self, num_vars: int = 0):
+    SatSolver(num_vars, clauses) loads a clause list in bulk. It leaves the
+    state a loop of add_clause calls leaves on the fresh solver, and keeps
+    its own copy of every clause.
+
+    Per-literal state is indexed by the literal itself: entry lit for
+    lit > 0 and Python's negative indexing for lit < 0, so entry 0 is unused
+    and a list for n variables has 2n + 1 entries.
+    """
+
+    def __init__(self, num_vars: int = 0, clauses=()):
         self.num_vars = 0
         self.clauses: list[list[int]] = []  # original + learned
         self.is_learned: list[bool] = []
         self.n_learned = 0
-        self.watches: list[list[int]] = [[], []]  # indexed by literal code
-        self.assign: list[int] = [0]  # 1 true, -1 false, 0 free; 1-based
-        self.level: list[int] = [0]
+        self.vals: list[int] = [0]  # by literal: 1 true, -1 false, 0 free
+        # by literal: the clauses to visit when that literal becomes true,
+        # i.e. those watching its negation
+        self.watches: list[list[int]] = [[]]
+        self.level: list[int] = [0]  # by variable, like the lists below
         self.reason: list[int] = [-1]
         self.phase: list[bool] = [False]
         self.activity: list[float] = [0.0]
         self.order: list[tuple[float, int]] = []  # lazy max-heap on activity
+        # by variable: order holds an entry with the variable's current
+        # activity, so a backtrack need not queue it again
+        self._queued: list[bool] = [False]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -133,28 +152,54 @@ class SatSolver:
         self._seen: list[bool] = [False]
         self._units: list[int] = []
         self.ensure_vars(num_vars)
-
-    # literal code: var v -> 2v (positive) / 2v+1 (negative)
-    @staticmethod
-    def _code(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
+        self._load(clauses)
 
     def ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.num_vars += 1
-            self.assign.append(0)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.phase.append(False)
-            self.activity.append(0.0)
-            self.watches.append([])
-            self.watches.append([])
-            self._seen.append(False)
-            heapq.heappush(self.order, (0.0, self.num_vars))
+        old = self.num_vars
+        if n <= old:
+            return
+        d = n - old
+        self.num_vars = n
+        # new positive literals go after the old ones, new negative ones
+        # before theirs, so every old literal keeps its entry
+        self.vals[old + 1:old + 1] = [0] * (2 * d)
+        self.watches[old + 1:old + 1] = [[] for _ in range(2 * d)]
+        self.level += [0] * d
+        self.reason += [-1] * d
+        self.phase += [False] * d
+        self.activity += [0.0] * d
+        self._seen += [False] * d
+        self._queued += [True] * d
+        # no queued entry is larger than (0.0, v) for a new v, so appending
+        # them in order keeps the heap property
+        self.order += [(0.0, v) for v in range(old + 1, n + 1)]
 
-    def value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+    def _load(self, clauses) -> None:
+        """Bulk add_clause on an empty trail: skip tautologies, drop
+        duplicate literals, queue units, watch the first two literals."""
+        units = self._units
+        long = []
+        for lits in clauses:
+            if len(set(map(abs, lits))) < len(lits):
+                # a repeated variable: a tautology or a duplicate literal
+                if not set(lits).isdisjoint(map(neg, lits)):
+                    continue
+                lits = list(dict.fromkeys(lits))
+            else:
+                lits = list(lits)
+            if len(lits) > 1:
+                long.append(lits)
+            elif lits:
+                units.append(lits[0])
+            else:
+                self.unsat = True
+        self.ensure_vars(max(map(abs, chain(units, *long)), default=0))
+        watches = self.watches
+        for ci, lits in enumerate(long, len(self.clauses)):
+            watches[-lits[0]].append(ci)
+            watches[-lits[1]].append(ci)
+        self.clauses += long
+        self.is_learned += [False] * len(long)
 
     def add_clause(self, lits) -> None:
         """Add a clause; an empty clause makes the solver permanently UNSAT.
@@ -173,19 +218,19 @@ class SatSolver:
                 seen.add(lit)
                 out.append(lit)
         lits = out
-        for lit in lits:
-            self.ensure_vars(abs(lit))
         if not lits:
             self.unsat = True
             return
+        self.ensure_vars(max(map(abs, lits)))
         if len(lits) == 1:
             self._backtrack(0)
             self.qhead = 0
             self._units.append(lits[0])
             return
+        vals = self.vals
         # unwind while the clause is falsified outright
         while True:
-            false_lits = [l for l in lits if self.value(l) == -1]
+            false_lits = [l for l in lits if vals[l] == -1]
             if len(false_lits) < len(lits):
                 break
             top = max(self.level[abs(l)] for l in false_lits)
@@ -193,7 +238,7 @@ class SatSolver:
                 self.unsat = True
                 return
             self._backtrack(top - 1)
-        nonfalse = [l for l in lits if self.value(l) != -1]
+        nonfalse = [l for l in lits if vals[l] != -1]
         if len(nonfalse) >= 2:
             a, b = nonfalse[0], nonfalse[1]
             lits.remove(a)
@@ -204,15 +249,15 @@ class SatSolver:
         # exactly one non-false literal: the clause propagates it; keep every
         # false literal assigned no deeper than the propagation level
         ell = nonfalse[0]
-        false_lits = [l for l in lits if self.value(l) == -1]
+        false_lits = [l for l in lits if vals[l] == -1]
         top_lit = max(false_lits, key=lambda l: self.level[abs(l)])
-        if self.value(ell) != 1:
+        if vals[ell] != 1:
             self._backtrack(self.level[abs(top_lit)])
         lits.remove(ell)
         lits.remove(top_lit)
         lits[:0] = [ell, top_lit]
         ci = self._attach(lits)
-        if self.value(ell) == 0:
+        if vals[ell] == 0:
             self._enqueue(ell, ci)
 
     def _attach(self, lits: list[int], learned: bool = False) -> int:
@@ -221,8 +266,8 @@ class SatSolver:
         self.is_learned.append(learned)
         if learned:
             self.n_learned += 1
-        self.watches[self._code(-lits[0])].append(ci)
-        self.watches[self._code(-lits[1])].append(ci)
+        self.watches[-lits[0]].append(ci)
+        self.watches[-lits[1]].append(ci)
         return ci
 
     def _reduce_db(self) -> None:
@@ -242,23 +287,23 @@ class SatSolver:
         self.clauses = clauses
         self.is_learned = flags
         self.n_learned = sum(flags)
-        for code in range(2, len(self.watches)):
-            self.watches[code] = []
+        watches = self.watches
+        for lit in range(1, len(watches)):
+            watches[lit] = []
         for ci, clause in enumerate(self.clauses):
-            self.watches[self._code(-clause[0])].append(ci)
-            self.watches[self._code(-clause[1])].append(ci)
+            watches[-clause[0]].append(ci)
+            watches[-clause[1]].append(ci)
         for v in range(1, self.num_vars + 1):
             self.reason[v] = -1  # only level-0 assignments remain
         self.qhead = 0
 
     def _enqueue(self, lit: int, reason: int) -> bool:
+        vals = self.vals
+        if vals[lit]:
+            return vals[lit] == 1
         v = abs(lit)
-        val = self.value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        self.assign[v] = 1 if lit > 0 else -1
+        vals[lit] = 1
+        vals[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.phase[v] = lit > 0
@@ -267,124 +312,146 @@ class SatSolver:
 
     def _propagate(self) -> int:
         """Return index of a conflicting clause, or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            code = self._code(lit)
-            watch = self.watches[code]
-            i = 0
-            j = 0
-            n = len(watch)
-            while i < n:
-                ci = watch[i]
-                i += 1
-                clause = self.clauses[ci]
+        trail = self.trail
+        clauses = self.clauses
+        watches = self.watches
+        vals = self.vals
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            false_lit = -lit
+            watch = watches[lit]
+            j = 0  # watch[:j] holds the clauses that keep watching -lit
+            unvisited = iter(watch)
+            for ci in unvisited:
+                clause = clauses[ci]
                 # ensure the false literal sits at position 1
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self.value(first) == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if vals[first] == 1:
                     watch[j] = ci
                     j += 1
                     continue
-                moved = False
                 for p in range(2, len(clause)):
-                    if self.value(clause[p]) != -1:
-                        clause[1], clause[p] = clause[p], clause[1]
-                        self.watches[self._code(-clause[1])].append(ci)
-                        moved = True
+                    q = clause[p]
+                    if vals[q] != -1:
+                        clause[p] = clause[1]
+                        clause[1] = q
+                        watches[-q].append(ci)
                         break
-                if moved:
-                    continue
-                watch[j] = ci
-                j += 1
-                if not self._enqueue(first, ci):
-                    while i < n:
-                        watch[j] = watch[i]
-                        j += 1
-                        i += 1
-                    del watch[j:]
-                    return ci
+                else:
+                    watch[j] = ci
+                    j += 1
+                    if vals[first]:  # false: the clause is in conflict
+                        watch[j:] = list(unvisited)
+                        self.qhead = qhead
+                        return ci
+                    vals[first] = 1
+                    vals[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = depth
+                    reason[v] = ci
+                    phase[v] = first > 0
+                    trail.append(first)
             del watch[j:]
+        self.qhead = qhead
         return -1
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-            self.order = [(-self.activity[i], i) for i in range(1, self.num_vars + 1)]
-            heapq.heapify(self.order)
-        else:
-            heapq.heappush(self.order, (-self.activity[v], v))
+    def _rescale(self) -> None:
+        for i in range(1, self.num_vars + 1):
+            self.activity[i] *= 1e-100
+        self.var_inc *= 1e-100
+        self.order = [(-self.activity[i], i) for i in range(1, self.num_vars + 1)]
+        heapify(self.order)
+        self._queued[1:] = [True] * self.num_vars
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        order = self.order
+        queued = self._queued
+        var_inc = self.var_inc
         learnt = [0]
         seen = self._seen
         touched = []
         counter = 0
         lit = 0
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         cur_level = len(self.trail_lim)
-        first = True
+        lits = clauses[confl]
         while True:
-            clause = self.clauses[confl]
-            start = 0 if first else 1
-            for q in clause[start:] if not first else clause:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+            for q in lits:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     touched.append(v)
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                    a = activity[v] + var_inc
+                    activity[v] = a
+                    if a > 1e100:
+                        self._rescale()
+                        order = self.order
+                        var_inc = self.var_inc
+                    else:
+                        heappush(order, (-a, v))
+                        queued[v] = True
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            first = False
-            while not seen[abs(self.trail[index])]:
+            while not seen[abs(trail[index])]:
                 index -= 1
-            lit = self.trail[index]
+            lit = trail[index]
             v = abs(lit)
             seen[v] = False
             counter -= 1
             index -= 1
             if counter == 0:
                 break
-            confl = self.reason[v]
             # treat the implied literal as resolved away
-            clause = self.clauses[confl]
+            clause = clauses[reason[v]]
             if clause[0] != lit:
                 # reason clause stores the implied literal first by convention
                 for p, q in enumerate(clause):
                     if q == lit:
                         clause[0], clause[p] = clause[p], clause[0]
                         break
+            lits = clause[1:]
         learnt[0] = -lit
         # self-subsumption: drop literals whose reason lies inside the clause
         kept = [learnt[0]]
         for q in learnt[1:]:
-            r = self.reason[abs(q)]
+            v = abs(q)
+            r = reason[v]
             if r == -1:
                 kept.append(q)
                 continue
-            if any(
-                abs(other) != abs(q) and not seen[abs(other)] and self.level[abs(other)] > 0
-                for other in self.clauses[r]
-            ):
-                kept.append(q)
+            for other in clauses[r]:
+                w = abs(other)
+                if w != v and not seen[w] and level[w] > 0:
+                    kept.append(q)
+                    break
         learnt = kept
         for v in touched:
             seen[v] = False
         if len(learnt) == 1:
             bt = 0
         else:
-            # second-highest decision level among learnt literals
-            levels = sorted((self.level[abs(q)] for q in learnt[1:]), reverse=True)
-            bt = levels[0]
+            # highest decision level among the non-asserting literals
+            bt = max(level[abs(q)] for q in learnt[1:])
             # move a literal of that level into watch position 1
             for p in range(1, len(learnt)):
-                if self.level[abs(learnt[p])] == bt:
+                if level[abs(learnt[p])] == bt:
                     learnt[1], learnt[p] = learnt[p], learnt[1]
                     break
         return learnt, bt
@@ -393,26 +460,44 @@ class SatSolver:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
+        vals = self.vals
+        activity = self.activity
+        order = self.order
+        queued = self._queued
         for lit in self.trail[bound:]:
-            v = abs(lit)
-            self.assign[v] = 0
-            heapq.heappush(self.order, (-self.activity[v], v))
+            vals[lit] = 0
+            vals[-lit] = 0
+            v = lit if lit > 0 else -lit
+            if not queued[v]:
+                queued[v] = True
+                heappush(order, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self) -> int:
-        # lazy heap: stale entries are skipped on pop
-        while self.order:
-            act, v = self.order[0]
-            if self.assign[v] != 0 or -act != self.activity[v]:
-                heapq.heappop(self.order)
-                continue
-            return v if self.phase[v] else -v
+        # lazy heap: stale entries are skipped on pop. Every free variable
+        # keeps one entry with its current activity, so the pick is the free
+        # variable of highest activity, the lowest index among equals.
+        order = self.order
+        vals = self.vals
+        activity = self.activity
+        while order:
+            act, v = order[0]
+            if -act != activity[v]:
+                heappop(order)
+            elif vals[v] != 0:
+                heappop(order)
+                self._queued[v] = False
+            else:
+                return v if self.phase[v] else -v
         return 0
 
     def solve(self, deadline: float | None = None):
-        """Return a model dict {var: bool}, "UNSAT", or "TIMEOUT"."""
+        """Return a model dict {var: bool}, "UNSAT", or "TIMEOUT".
+
+        The deadline is checked at every conflict and every 64th decision.
+        """
         if self.unsat:
             return "UNSAT"
         if self._units:
@@ -426,18 +511,15 @@ class SatSolver:
 
         restart_idx = 0
         conflicts_until_restart = 100 * _luby(0)
-        conflicts_since_check = 0
+        decisions = 0
         while True:
             confl = self._propagate()
             if confl != -1:
                 self.conflicts_total += 1
                 conflicts_until_restart -= 1
-                conflicts_since_check += 1
-                if conflicts_since_check >= 512:
-                    conflicts_since_check = 0
-                    if deadline is not None and time.monotonic() > deadline:
-                        self._backtrack(0)
-                        return "TIMEOUT"
+                if deadline is not None and time.monotonic() > deadline:
+                    self._backtrack(0)
+                    return "TIMEOUT"
                 if not self.trail_lim:
                     self.unsat = True
                     return "UNSAT"
@@ -463,9 +545,13 @@ class SatSolver:
                 if lit == 0:
                     # keep the trail: incremental callers add clauses against
                     # this model and resume from the surviving prefix
-                    return {
-                        v: self.assign[v] == 1 for v in range(1, self.num_vars + 1)
-                    }
+                    vals = self.vals
+                    return {v: vals[v] == 1 for v in range(1, self.num_vars + 1)}
+                decisions += 1
+                if (not decisions & 63 and deadline is not None
+                        and time.monotonic() > deadline):
+                    self._backtrack(0)
+                    return "TIMEOUT"
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
 
@@ -473,15 +559,16 @@ class SatSolver:
 def solve(f: CnfFormula, timeout: float | None = None):
     """One-shot satisfiability check of a formula.
 
-    Returns a model dict, "UNSAT", or "TIMEOUT". Every returned model is
-    replayed against the clause list before being handed out.
+    Returns a model dict, "UNSAT", or "TIMEOUT". The timeout covers loading
+    the clauses as well as the search. Every returned model is replayed
+    against the clause list before being handed out.
     """
-    s = SatSolver(f.num_vars)
-    for clause in f.clauses:
-        if not clause:
-            return "UNSAT"
-        s.add_clause(clause)
     deadline = None if timeout is None else time.monotonic() + timeout
+    s = SatSolver(f.num_vars, f.clauses)
+    if s.unsat:
+        return "UNSAT"
+    if deadline is not None and time.monotonic() > deadline:
+        return "TIMEOUT"
     result = s.solve(deadline)
     if isinstance(result, dict):
         if not f.check_model(result):

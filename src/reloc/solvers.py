@@ -121,9 +121,7 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
             raise RuntimeError("duplicate clause in initial lazy encoding")
         solver = None
         if sat is None:
-            solver = satmod.SatSolver(formula.num_vars)
-            for clause in formula.clauses:
-                solver.add_clause(clause)
+            solver = satmod.SatSolver(formula.num_vars, formula.clauses)
 
         def solve(budget):
             # no model replay for the internal solver: satisfying assignments

@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from reloc import bench
 from reloc.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
@@ -255,6 +256,26 @@ def test_solve_checks_the_stats_directory_before_solving(tmp_path, capsys):
                  "--stats", stats]) == EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == "" and "no such directory" in out.err
+
+
+def test_generate_checks_the_out_directory(tmp_path, capsys):
+    out = str(tmp_path / "nodir" / "x.txt")
+    assert main(["generate", "--family", "grid", "--size", "3",
+                 "--variant", "mapf", "--items", "2", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no such directory" in err
+
+
+def test_bench_checks_the_out_directory_before_running(tmp_path, capsys,
+                                                       monkeypatch):
+    runs = []
+    monkeypatch.setattr(bench, "run_suite", lambda *a, **kw: runs.append(a))
+    out = str(tmp_path / "nodir" / "runs.csv")
+    assert main(["bench", "--suite", "desk", "--seeds", "1",
+                 "--algos", "cbs", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert runs == []
+    assert err.startswith("error:") and "no such directory" in err
 
 
 @pytest.mark.parametrize("timeout", ["nan", "-1", "inf", "soon"])

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -38,6 +39,14 @@ def random_clauses(rng, num_vars, m, width=3):
     return out
 
 
+def random_3sat(rng, num_vars, m):
+    """Clauses of three distinct variables; hard near m = 4.26 * num_vars."""
+    return formula_of(num_vars, [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(m)
+    ])
+
+
 def php(holes):
     """Pigeonhole: holes+1 pigeons into `holes` holes. Classic UNSAT."""
     f = CnfFormula()
@@ -66,6 +75,16 @@ def test_check_model():
     f = formula_of(2, [[1, 2], [-1]])
     assert f.check_model({1: False, 2: True})
     assert not f.check_model({1: False, 2: False})
+
+
+def test_check_model_rejects_a_falsified_clause_and_a_missing_variable():
+    f = formula_of(3, [[2, 1], [3, -1]])
+    assert f.check_model({1: True, 2: False, 3: True})
+    assert not f.check_model({1: True, 2: False, 3: False})  # falsifies [3, -1]
+    # every clause has a true literal, but variable 1 has no value
+    assert not f.check_model({2: True, 3: True})
+    # a variable that occurs in no clause still needs a value
+    assert not formula_of(2, [[1]]).check_model({1: True})
 
 
 # --- solver vs brute force ----------------------------------------------------
@@ -98,6 +117,108 @@ def test_pigeonhole_unsat():
 def test_empty_clause_is_unsat():
     f = formula_of(2, [[1], []])
     assert solve(f) == "UNSAT"
+
+
+# --- bulk load ------------------------------------------------------------------
+
+def messy_clauses(rng, num_vars, m):
+    """Random clauses with duplicate literals, tautologies, units and now and
+    then an empty clause."""
+    out = []
+    for _ in range(m):
+        if rng.random() < 0.03:
+            out.append([])
+            continue
+        clause = random_clauses(rng, num_vars, 1, width=5)[0]
+        if rng.random() < 0.2:
+            clause.insert(rng.randint(0, len(clause)), rng.choice(clause))
+        if rng.random() < 0.1:
+            clause.insert(rng.randint(0, len(clause)), -rng.choice(clause))
+        out.append(clause)
+    return out
+
+
+def load_state(s):
+    return (s.num_vars, s.clauses, s.is_learned, s.watches, s._units, s.unsat,
+            s.vals, s.order)
+
+
+def test_bulk_load_leaves_the_state_of_the_add_clause_loop():
+    rng = random.Random(2)
+    for trial in range(300):
+        nv = rng.randint(1, 8)
+        clauses = messy_clauses(rng, nv, rng.randint(0, 24))
+        given = [list(c) for c in clauses]
+        declared = rng.randint(0, nv)  # literals past it allocate variables
+        bulk = SatSolver(declared, clauses)
+        loop = SatSolver(declared)
+        for c in clauses:
+            loop.add_clause(c)
+        assert load_state(bulk) == load_state(loop), f"trial {trial}"
+        assert clauses == given, f"trial {trial}"
+        assert not {id(c) for c in bulk.clauses} & {id(c) for c in clauses}
+        res = bulk.solve()
+        assert res == loop.solve(), f"trial {trial}"
+        assert bulk.conflicts_total == loop.conflicts_total, f"trial {trial}"
+        want = brute_force(nv, clauses)
+        assert (res == "UNSAT") == (want is None), f"trial {trial}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: php(6),
+    lambda: random_3sat(random.Random(7), 60, 256),  # UNSAT past a restart
+])
+def test_bulk_load_searches_like_the_add_clause_loop(make):
+    f = make()
+    bulk = SatSolver(f.num_vars, f.clauses)
+    loop = SatSolver(f.num_vars)
+    for c in f.clauses:
+        loop.add_clause(c)
+    assert bulk.solve() == loop.solve()
+    assert bulk.conflicts_total == loop.conflicts_total > 0
+    assert bulk.clauses == loop.clauses
+
+
+class RequeueAllSolver(SatSolver):
+    """Reference decision heap: every backtrack queues every freed variable
+    again, and every stale entry is popped."""
+
+    def _backtrack(self, level):
+        if len(self.trail_lim) <= level:
+            return
+        bound = self.trail_lim[level]
+        for lit in self.trail[bound:]:
+            self.vals[lit] = self.vals[-lit] = 0
+            heapq.heappush(self.order, (-self.activity[abs(lit)], abs(lit)))
+        del self.trail[bound:]
+        del self.trail_lim[level:]
+        self.qhead = min(self.qhead, len(self.trail))
+
+    def _decide(self):
+        while self.order:
+            act, v = self.order[0]
+            if self.vals[v] != 0 or -act != self.activity[v]:
+                heapq.heappop(self.order)
+                continue
+            return v if self.phase[v] else -v
+        return 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_queued_flags_keep_the_decisions_of_the_reference_heap(seed):
+    rng = random.Random(seed)
+    f = php(5) if seed == 0 else random_3sat(rng, 50, 215)
+    cut = len(f.clauses) // 2
+    solvers = [cls(f.num_vars, f.clauses[:cut]) for cls in (SatSolver, RequeueAllSolver)]
+    for s in solvers:
+        s.solve()
+        for c in f.clauses[cut:]:  # clauses added to a solved trail
+            s.add_clause(c)
+    got, want = (s.solve() for s in solvers)
+    assert got == want
+    assert solvers[0].conflicts_total == solvers[1].conflicts_total > 0
+    assert solvers[0].clauses == solvers[1].clauses  # the same learned clauses
+    assert solvers[0].trail == solvers[1].trail
 
 
 # --- incremental interface ----------------------------------------------------

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from reloc import satcore
+from reloc.bench import suite_instance
 from reloc.encoder import clause_for_record, encode_basic, lower_bound, record_from_collision
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
@@ -113,3 +116,15 @@ def test_timeout_reported(solver):
     res = solver(inst, timeout=0.0)
     assert res.status in ("timeout", "limit")
     assert res.plan is None
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_timeout_comes_back_within_the_budget_on_8x8(solver):
+    # at a late bound of this instance a conflict costs about 12 ms, so a
+    # deadline checked only every 512 conflicts can overshoot by seconds
+    inst = suite_instance("grid8", Variant.MAPF, 16, 0)
+    t0 = time.monotonic()
+    res = solver(inst, timeout=3)
+    elapsed = time.monotonic() - t0
+    assert res.status == "timeout"
+    assert elapsed <= 3 + 1.5
