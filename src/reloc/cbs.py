@@ -85,15 +85,13 @@ def solvability_precheck(inst: Instance) -> bool | None:
     return None
 
 
-def search_cap(inst: Instance, xi_cap: int | None) -> int | None:
+def search_cap(inst: Instance) -> int | None:
     """Cost cap of an optimal search, or None when the precheck proves the
-    instance unsolvable. A given xi_cap wins; a certified-solvable instance
-    is searched without a cap."""
+    instance unsolvable. A certified-solvable instance is searched without a
+    cap."""
     solvable = solvability_precheck(inst)
     if solvable is False:
         return None
-    if xi_cap is not None:
-        return xi_cap
     return INF if solvable else cost_cutoff(inst)
 
 
@@ -104,8 +102,9 @@ def padded_configs(paths):
     return padded, horizon
 
 
-def joint_collisions(inst: Instance, paths) -> list[Collision]:
-    return plan_collisions(inst, padded_configs(paths)[0])
+def joint_collisions(inst: Instance, padded) -> list[Collision]:
+    """Collisions of a joint plan whose paths are padded to one horizon."""
+    return plan_collisions(inst, padded)
 
 
 def _branch_constraints(inst: Instance, col: Collision, padded) -> list[Constraint]:
@@ -153,13 +152,12 @@ def _replan(inst, adj, dist, item, cs: ConstraintSet):
     )
 
 
-def cbs_solve(inst: Instance, timeout: float | None = None,
-              xi_cap: int | None = None) -> SolveResult:
+def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     stats = SolveStats(algorithm="cbs")
-    xi_cap = search_cap(inst, xi_cap)
-    if xi_cap is None:
+    cap = search_cap(inst)
+    if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
 
     adj = effective_adjacency(inst)
@@ -180,13 +178,13 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
         if deadline is not None and time.monotonic() > deadline:
             return finish(stats, t0, STATUS_TIMEOUT)
         cost, _, node = heapq.heappop(open_heap)
-        if cost > xi_cap:
+        if cost > cap:
             capped = True
             break
         stats.ct_nodes += 1
-        collisions = joint_collisions(inst, node.paths)
-        pick = next((c for c in collisions if not c.degenerate), None)
         padded, _ = padded_configs(node.paths)
+        collisions = joint_collisions(inst, padded)
+        pick = next((c for c in collisions if not c.degenerate), None)
         if pick is None:
             if collisions:
                 # unreachable by the pigeonhole argument above
@@ -202,7 +200,7 @@ def cbs_solve(inst: Instance, timeout: float | None = None,
             child_constraints[item] = cs
             child_paths = node.paths[:item] + (tuple(p),) + node.paths[item + 1:]
             child_cost = node.cost - (len(node.paths[item]) - 1) + (len(p) - 1)
-            if child_cost > xi_cap:
+            if child_cost > cap:
                 capped = True
                 continue
             counter += 1

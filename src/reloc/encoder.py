@@ -13,23 +13,27 @@ Variables: X(i,v,t) "item i at v at time t", E(i,u,v,t) "item i traverses
 arc u->v between t and t+1" (u == v is the wait arc), U(i,t) "item i is
 still unsettled at time t" for t in [d_i, d_i + delta).
 
-The full encoding adds the variant's movement rule as clauses over all
-variable pairs; the basic encoding keeps only single-item path consistency
-plus cost accounting and re-emits clauses for an explicit store of conflict
-records discovered by validation. Every clause the basic encoding can emit
-for a record also appears in the full encoding, restricted the same way to
-existing variables.
+A movement rule is posted as the clauses of conflict records, each
+grounded by the one clause builder of its kind (vertex, occupancy, swap,
+rot, empty). The full encoding grounds every record of the kinds that make
+up the variant's rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty
+(TPERM) or empty and rot (TROT). The basic encoding keeps only single-item
+path consistency plus cost accounting and grounds the records that
+validation discovered. Both go through the same builders, so a lazy clause
+of one of those kinds also appears in the full encoding by construction.
+Validation can also report a TSWAP move into an empty vertex as an "empty"
+record, whose clause the TSWAP swap clauses imply without containing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import INF
 from .relocation import (
     Collision,
     Instance,
-    KIND_EDGE,
     KIND_OCCUPANCY,
     KIND_VERTEX,
     Plan,
@@ -219,86 +223,20 @@ def _encode_cost(formula: CnfFormula, vm: VarMap) -> None:
     at_most_k(formula, vm.unsettled_vars(), delta)
 
 
-def _encode_vertex_exclusion(formula: CnfFormula, vm: VarMap) -> None:
-    for t in range(vm.mu + 1):
-        occupants: dict[int, list[int]] = {}
-        for i, mdd in enumerate(vm.mdds):
-            for v in mdd.levels[t]:
-                occupants.setdefault(v, []).append(i)
-        for v, items in occupants.items():
-            for a in range(len(items)):
-                for b in range(a + 1, len(items)):
-                    formula.add_clause(
-                        [-vm.x(items[a], v, t), -vm.x(items[b], v, t)]
-                    )
-
-
-def _move_arcs(vm: VarMap):
-    """All non-wait arcs as (i, u, v, t, var)."""
-    for i, mdd in enumerate(vm.mdds):
-        for t, lvl_arcs in enumerate(mdd.arcs):
-            for u, v in lvl_arcs:
-                if u != v:
-                    yield i, u, v, t, vm.e(i, u, v, t)
-
-
-def _encode_movement_rule(formula: CnfFormula, vm: VarMap) -> None:
-    """The variant-specific interaction clauses over move arcs."""
-    inst = vm.inst
-    if inst.variant == Variant.MAPF:
-        # moving into v requires v empty before the step
-        for i, u, v, t, ev in _move_arcs(vm):
-            for j in vm.items_at(v, t):
-                if j != i:
-                    formula.add_clause([-ev, -vm.x(j, v, t)])
-        return
-    if inst.variant == Variant.TSWAP:
-        # every traversal is half of a swap
-        for i, u, v, t, ev in _move_arcs(vm):
-            partners = [
-                vm.e(j, v, u, t)
-                for j in range(inst.k)
-                if j != i and vm.e(j, v, u, t) is not None
-            ]
-            formula.add_clause([-ev] + partners)
-        return
-    # TROT / TPERM: moving into v requires v occupied before the step
-    for i, u, v, t, ev in _move_arcs(vm):
-        occupants = [
-            vm.x(j, v, t) for j in vm.items_at(v, t) if j != i
-        ]
-        formula.add_clause([-ev] + occupants)
-    if inst.variant == Variant.TROT:
-        # no swaps along a single edge
-        for i, u, v, t, ev in _move_arcs(vm):
-            for j in range(i + 1, inst.k):
-                back = vm.e(j, v, u, t)
-                if back is not None:
-                    formula.add_clause([-ev, -back])
-
-
-def encode_full(inst: Instance, xi: int) -> tuple[CnfFormula, VarMap]:
-    """Complete encoding: SAT iff a solution of sum-of-costs <= xi exists."""
-    formula = CnfFormula()
-    vm = VarMap(formula, inst, xi)
-    _encode_paths(formula, vm)
-    _encode_cost(formula, vm)
-    _encode_vertex_exclusion(formula, vm)
-    _encode_movement_rule(formula, vm)
-    return formula, vm
-
-
 # ---------------------------------------------------------------------------
-# conflict records and the lazy encoding
+# conflict records, one clause builder per kind, and the two encodings
 
 
-@dataclass(frozen=True)
-class ConflictRecord:
+class ConflictRecord(NamedTuple):
     """Semantic description of one forbidden interaction, independent of any
     particular xi. kinds: "vertex" (i and j share v at t), "occupancy" (MAPF:
     i entering v over u->v while j rests at v), "swap" (i may traverse u->v
     only as half of a swap), "rot" (i and j swap head-on over u<->v), "empty"
-    (token move u->v requires v occupied)."""
+    (token move u->v requires v occupied).
+
+    Records sort kind-major, then by (t, i, v, j, u): within one kind j and u
+    are always set or always None, so no None is ever compared with an int.
+    """
 
     kind: str
     t: int
@@ -322,41 +260,107 @@ def record_from_collision(inst: Instance, col: Collision) -> ConflictRecord:
     return ConflictRecord("rot", col.t, i, v, j=j, u=u)
 
 
+# One clause builder per record kind, (vm, t, i, v, j, u) -> clause | None.
+# None means every violating assignment is already impossible (a negated
+# variable does not exist); positive literals over missing variables are
+# dropped.
+
+
+def _vertex(vm: VarMap, t, i, v, j, u):
+    a, b = vm.x(i, v, t), vm.x(j, v, t)
+    return None if a is None or b is None else [-a, -b]
+
+
+def _occupancy(vm: VarMap, t, i, v, j, u):
+    ev, xj = vm.e(i, u, v, t), vm.x(j, v, t)
+    return None if ev is None or xj is None else [-ev, -xj]
+
+
+def _swap(vm: VarMap, t, i, v, j, u):
+    ev = vm.e(i, u, v, t)
+    if ev is None:
+        return None
+    backs = (vm.e(other, v, u, t) for other in range(vm.inst.k) if other != i)
+    return [-ev] + [back for back in backs if back is not None]
+
+
+def _rot(vm: VarMap, t, i, v, j, u):
+    a, b = vm.e(i, u, v, t), vm.e(j, v, u, t)
+    return None if a is None or b is None else [-a, -b]
+
+
+def _empty(vm: VarMap, t, i, v, j, u):
+    ev = vm.e(i, u, v, t)
+    if ev is None:
+        return None
+    return [-ev] + [vm.x(other, v, t) for other in vm.items_at(v, t) if other != i]
+
+
+_GROUND = {
+    "vertex": _vertex,
+    "occupancy": _occupancy,
+    "swap": _swap,
+    "rot": _rot,
+    "empty": _empty,
+}
+
+
 def clause_for_record(rec: ConflictRecord, vm: VarMap):
-    """Ground clause for a record under the current variables, or None when
-    every violating assignment is already impossible (a negated variable does
-    not exist). Positive literals over missing variables are dropped."""
-    k = vm.inst.k
-    if rec.kind == "vertex":
-        a, b = vm.x(rec.i, rec.v, rec.t), vm.x(rec.j, rec.v, rec.t)
-        return None if a is None or b is None else [-a, -b]
-    if rec.kind == "occupancy":
-        ev = vm.e(rec.i, rec.u, rec.v, rec.t)
-        xj = vm.x(rec.j, rec.v, rec.t)
-        return None if ev is None or xj is None else [-ev, -xj]
-    if rec.kind == "rot":
-        a = vm.e(rec.i, rec.u, rec.v, rec.t)
-        b = vm.e(rec.j, rec.v, rec.u, rec.t)
-        return None if a is None or b is None else [-a, -b]
-    if rec.kind == "swap":
-        ev = vm.e(rec.i, rec.u, rec.v, rec.t)
-        if ev is None:
-            return None
-        return [-ev] + [
-            vm.e(j, rec.v, rec.u, rec.t)
-            for j in range(k)
-            if j != rec.i and vm.e(j, rec.v, rec.u, rec.t) is not None
-        ]
-    if rec.kind == "empty":
-        ev = vm.e(rec.i, rec.u, rec.v, rec.t)
-        if ev is None:
-            return None
-        return [-ev] + [
-            vm.x(j, rec.v, rec.t)
-            for j in vm.items_at(rec.v, rec.t)
-            if j != rec.i
-        ]
-    raise ValueError(f"unknown record kind {rec.kind!r}")
+    """Ground clause for a record under the current variables, or None."""
+    ground = _GROUND.get(rec.kind)
+    if ground is None:
+        raise ValueError(f"unknown record kind {rec.kind!r}")
+    return ground(vm, *rec[1:])
+
+
+def _move_arcs(vm: VarMap):
+    """All non-wait arcs as (i, u, v, t)."""
+    for i, mdd in enumerate(vm.mdds):
+        for t, lvl_arcs in enumerate(mdd.arcs):
+            for u, v in lvl_arcs:
+                if u != v:
+                    yield i, u, v, t
+
+
+def _encode_rules(formula: CnfFormula, vm: VarMap) -> None:
+    """The clause of every record of the variant's rule kinds: vertex pairs
+    by time, vertex (in order of its first possible occupant) and a < b,
+    then the variant's per-arc kind, then TROT's head-on pairs."""
+    for t in range(vm.mu + 1):
+        occupants: dict[int, list[int]] = {}
+        for i, mdd in enumerate(vm.mdds):
+            for v in mdd.levels[t]:
+                occupants.setdefault(v, []).append(i)
+        for v, items in occupants.items():
+            for a in range(len(items)):
+                for b in range(a + 1, len(items)):
+                    formula.add_clause(_vertex(vm, t, items[a], v, items[b], None))
+    variant = vm.inst.variant
+    if variant == Variant.MAPF:
+        for i, u, v, t in _move_arcs(vm):
+            for j in vm.items_at(v, t):
+                if j != i:
+                    formula.add_clause(_occupancy(vm, t, i, v, j, u))
+        return
+    per_arc = _swap if variant == Variant.TSWAP else _empty
+    for i, u, v, t in _move_arcs(vm):
+        formula.add_clause(per_arc(vm, t, i, v, None, u))
+    if variant == Variant.TROT:
+        for i, u, v, t in _move_arcs(vm):
+            for j in range(i + 1, vm.inst.k):
+                clause = _rot(vm, t, i, v, j, u)
+                if clause is not None:
+                    formula.add_clause(clause)
+
+
+def encode_full(inst: Instance, xi: int) -> tuple[CnfFormula, VarMap]:
+    """Complete encoding: SAT iff a solution of sum-of-costs <= xi exists."""
+    formula = CnfFormula()
+    vm = VarMap(formula, inst, xi)
+    _encode_paths(formula, vm)
+    _encode_cost(formula, vm)
+    _encode_rules(formula, vm)
+    return formula, vm
 
 
 def encode_basic(inst: Instance, xi: int, records=()) -> tuple[CnfFormula, VarMap]:

@@ -11,6 +11,10 @@ clauses of all violated rules before re-solving; an unsatisfiable relaxation
 is a proof that the full encoding is unsatisfiable too, so the bound can be
 raised. Conflict records persist across bounds and are re-grounded against
 the new variable layout.
+
+Both drivers ground collisions through the encoder's one clause builder per
+record kind: encode_full grounds every record of the variant's rule before
+the search, smt_cbs_solve only the records of collisions it observed.
 """
 
 from __future__ import annotations
@@ -40,19 +44,12 @@ from .result import (
 from . import satcore as satmod
 
 
-def _record_key(rec: ConflictRecord):
-    return (rec.kind, rec.t, rec.i, rec.v,
-            -1 if rec.j is None else rec.j,
-            -1 if rec.u is None else rec.u)
-
-
-def _climb(inst: Instance, timeout, xi_cap, stats: SolveStats,
-           test_bound) -> SolveResult:
+def _climb(inst: Instance, timeout, stats: SolveStats, test_bound) -> SolveResult:
     """Raise the cost bound from the lower bound until test_bound(xi,
     deadline) returns a plan; it may also return "UNSAT" or "TIMEOUT"."""
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
-    cap = search_cap(inst, xi_cap)
+    cap = search_cap(inst)
     if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
     xi = lower_bound(inst)
@@ -79,7 +76,7 @@ def _sat_call(stats: SolveStats, solve, deadline):
 
 
 def mdd_sat_solve(inst: Instance, timeout: float | None = None,
-                  sat=None, xi_cap: int | None = None) -> SolveResult:
+                  sat=None) -> SolveResult:
     """Optimal solve by eager encoding of increasing cost bounds."""
     sat = sat or satmod.solve
     stats = SolveStats(algorithm="mddsat")
@@ -97,11 +94,11 @@ def mdd_sat_solve(inst: Instance, timeout: float | None = None,
             raise RuntimeError(f"full encoding produced invalid plan: {residual[0]}")
         return plan
 
-    return _climb(inst, timeout, xi_cap, stats, test_bound)
+    return _climb(inst, timeout, stats, test_bound)
 
 
 def smt_cbs_solve(inst: Instance, timeout: float | None = None,
-                  sat=None, xi_cap: int | None = None) -> SolveResult:
+                  sat=None) -> SolveResult:
     """Optimal solve by lazy encoding with validation-driven refinement.
 
     With the internal solver each bound keeps one incremental SatSolver
@@ -112,7 +109,7 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
     records: set[ConflictRecord] = set()
 
     def test_bound(xi, deadline):
-        formula, vm = encode_basic(inst, xi, sorted(records, key=_record_key))
+        formula, vm = encode_basic(inst, xi, sorted(records))
         stats.clauses = len(formula.clauses)
         stats.variables = formula.num_vars
         # clause-level duplicate guard for this bound
@@ -136,10 +133,7 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
             collisions = validate(inst, plan)
             if not collisions:
                 return plan
-            new_recs = sorted(
-                {record_from_collision(inst, c) for c in collisions},
-                key=_record_key,
-            )
+            new_recs = sorted({record_from_collision(inst, c) for c in collisions})
             added = 0
             for rec in new_recs:
                 records.add(rec)
@@ -165,4 +159,4 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
             stats.refinements += added
             stats.clauses = len(formula.clauses)
 
-    return _climb(inst, timeout, xi_cap, stats, test_bound)
+    return _climb(inst, timeout, stats, test_bound)

@@ -17,7 +17,14 @@ from reloc.encoder import (
 )
 from reloc.graphs import INF, build_graph, make_clique, make_grid
 from reloc.oracle import oracle_solve
-from reloc.relocation import Instance, Variant, plan_cost, random_instance, validate
+from reloc.relocation import (
+    Instance,
+    Variant,
+    plan_cost,
+    random_instance,
+    random_permutation_instance,
+    validate,
+)
 from reloc.satcore import CnfFormula, solve
 
 PATH4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -166,14 +173,109 @@ def test_full_encoding_finds_exact_optimum():
 
 # --- lazy encoding and refinement records --------------------------------------
 
-def test_basic_encoding_is_subset_of_full():
-    inst = random_instance(make_grid(3, 3), Variant.MAPF, 3, 1)
+def small_instance(variant, seed):
+    """A 3x3 instance: 3 agents for MAPF, else 4 tokens on a connected support."""
+    if variant == Variant.MAPF:
+        return random_instance(make_grid(3, 3), variant, 3, seed)
+    return random_permutation_instance(make_grid(3, 3), variant, 4, seed)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_basic_encoding_is_subset_of_full(variant):
+    inst = small_instance(variant, 1)
     fb, _ = encode_basic(inst, lower_bound(inst) + 1)
     ff, _ = encode_full(inst, lower_bound(inst) + 1)
     basic = {tuple(sorted(c)) for c in fb.clauses}
     full = {tuple(sorted(c)) for c in ff.clauses}
     assert basic <= full
     assert len(basic) < len(full)  # collision clauses are deferred
+
+
+@pytest.mark.parametrize("variant", [Variant.TSWAP, Variant.TROT, Variant.TPERM],
+                         ids=lambda v: v.value)
+def test_refinement_clauses_appear_in_full_encoding(variant):
+    # run the lazy loop by hand: every clause grounded for a collision that
+    # validate reports on a model of encode_basic is a clause of encode_full
+    kinds = set()
+    implied = 0
+    for seed in range(4):
+        inst = small_instance(variant, seed)
+        lb = lower_bound(inst)
+        for xi in (lb, lb + 1):
+            ff, _ = encode_full(inst, xi)
+            full = {tuple(sorted(c)) for c in ff.clauses}
+            records = []
+            for _ in range(100):
+                fb, vm = encode_basic(inst, xi, records)
+                model = solve(fb)
+                if not isinstance(model, dict):
+                    break
+                collisions = validate(inst, extract_plan(vm, model))
+                if not collisions:
+                    break
+                for col in collisions:
+                    rec = record_from_collision(inst, col)
+                    records.append(rec)
+                    clause = clause_for_record(rec, vm)
+                    if clause is None:
+                        continue
+                    kinds.add(rec.kind)
+                    if tuple(sorted(clause)) in full:
+                        continue
+                    # the one exception: TSWAP grounds a move into an empty
+                    # vertex as an "empty" clause, which the full encoding
+                    # does not contain but implies through its swap clause
+                    assert variant == Variant.TSWAP and rec.kind == "empty", rec
+                    refuted = CnfFormula()
+                    refuted.num_vars = ff.num_vars
+                    for c in ff.clauses + [[-lit] for lit in clause]:
+                        refuted.add_clause(c)
+                    assert solve(refuted) == "UNSAT", rec
+                    implied += 1
+            else:
+                pytest.fail(f"refinement did not settle on {inst} at xi={xi}")
+    expected = {
+        Variant.TSWAP: {"vertex", "swap", "empty"},
+        Variant.TROT: {"vertex", "rot", "empty"},
+        Variant.TPERM: {"vertex", "empty"},
+    }[variant]
+    assert kinds == expected
+    assert (implied > 0) == (variant == Variant.TSWAP)
+
+
+def test_records_sort_kind_major_then_by_fields():
+    # the lazy driver grounds records in sorted order, so this order fixes
+    # its clause order; j and u are None for some kinds
+    recs = [
+        ConflictRecord("vertex", t=1, i=0, v=4, j=2),
+        ConflictRecord("swap", t=0, i=1, v=3, u=2),
+        ConflictRecord("empty", t=2, i=0, v=1, u=0),
+        ConflictRecord("rot", t=0, i=2, v=1, j=0, u=5),
+        ConflictRecord("occupancy", t=0, i=1, v=2, j=0, u=1),
+        ConflictRecord("vertex", t=1, i=0, v=4, j=1),
+        ConflictRecord("swap", t=0, i=1, v=2, u=7),
+        ConflictRecord("empty", t=0, i=3, v=1, u=2),
+        ConflictRecord("rot", t=0, i=2, v=1, j=0, u=4),
+        ConflictRecord("occupancy", t=0, i=0, v=2, j=1, u=3),
+        ConflictRecord("vertex", t=0, i=1, v=0, j=2),
+    ]
+    got = sorted(recs)
+    want = sorted(recs, key=lambda r: (
+        r.kind, r.t, r.i, r.v,
+        -1 if r.j is None else r.j,
+        -1 if r.u is None else r.u,
+    ))
+    assert got == want
+    assert [r.kind for r in got] == (
+        ["empty"] * 2 + ["occupancy"] * 2 + ["rot"] * 2 + ["swap"] * 2 + ["vertex"] * 3
+    )
+    assert got[0] == ConflictRecord("empty", t=0, i=3, v=1, u=2)
+    assert got[-3:] == [
+        ConflictRecord("vertex", t=0, i=1, v=0, j=2),
+        ConflictRecord("vertex", t=1, i=0, v=4, j=1),
+        ConflictRecord("vertex", t=1, i=0, v=4, j=2),
+    ]
+    assert sorted(set(recs + recs)) == got
 
 
 def test_record_from_collision_grounds_each_kind():

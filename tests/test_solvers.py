@@ -87,7 +87,7 @@ def test_external_backend_hook():
     assert calls == sorted(calls) or res.stats.sat_calls != len(calls)
 
 
-def test_refine_for_variant_grounds_vertex_collision():
+def test_clause_for_record_grounds_vertex_collision():
     inst = random_instance(make_grid(3, 3), Variant.MAPF, 2, 0)
     _, vm = encode_basic(inst, lower_bound(inst) + 1)
     col = Collision(KIND_VERTEX, (0, 1), inst.starts[0], 0)
