@@ -18,6 +18,14 @@ Token moves into unoccupied vertices never need a branch: items of a token
 variant are confined to the support, and if some support vertex is empty at
 time t then two items share another vertex at t, so a shared-vertex
 collision at the same time always exists and is split instead.
+
+Each CT node does only the work the split uses. Conflict detection
+(`joint_collisions`) walks the joint plan step by step through
+`relocation.step_collisions` and stops at the first step after which no
+collision can sort before the best one found; the low level
+(`pathfinder.constrained_shortest_path`) reads the item's constraints once
+per call. The tree is the same, node for node, as with a full validation
+of every joint plan.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .encoder import lower_bound
 from .graphs import INF
@@ -45,7 +54,7 @@ from .relocation import (
     effective_adjacency,
     effective_distances,
     make_plan,
-    plan_collisions,
+    step_collisions,
 )
 from .result import (
     STATUS_LIMIT,
@@ -103,8 +112,30 @@ def padded_configs(paths):
 
 
 def joint_collisions(inst: Instance, padded) -> list[Collision]:
-    """Collisions of a joint plan whose paths are padded to one horizon."""
-    return plan_collisions(inst, padded)
+    """The head of `plan_collisions(inst, padded)` that the search uses.
+
+    Returns the sorted collisions up to and including the first
+    non-degenerate one, or all of them when there is none. Steps are scanned
+    in time order; step t only yields collisions stamped t (rule violations)
+    or t + 1 (shared vertices), so once the best non-degenerate collision so
+    far is stamped at most t, no later step can sort before it.
+    """
+    found: list[Collision] = []
+    best = None
+    for t, (cur, nxt) in enumerate(pairwise(zip(*padded))):
+        step = step_collisions(inst, cur, nxt, t)
+        if not step:
+            continue
+        found.extend(step)
+        first = next((c for c in step if not c.degenerate), None)
+        if first is not None and (best is None or first.sort_key() < best.sort_key()):
+            best = first
+        if best is not None and best.t <= t:
+            break
+    found.sort(key=Collision.sort_key)
+    if best is None:
+        return found
+    return found[:found.index(best) + 1]
 
 
 def _branch_constraints(inst: Instance, col: Collision, padded) -> list[Constraint]:

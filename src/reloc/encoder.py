@@ -19,10 +19,10 @@ rot, empty). The full encoding grounds every record of the kinds that make
 up the variant's rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty
 (TPERM) or empty and rot (TROT). The basic encoding keeps only single-item
 path consistency plus cost accounting and grounds the records that
-validation discovered. Both go through the same builders, so a lazy clause
-of one of those kinds also appears in the full encoding by construction.
-Validation can also report a TSWAP move into an empty vertex as an "empty"
-record, whose clause the TSWAP swap clauses imply without containing it.
+validation discovered. Both go through the same builders, and a collision
+is grounded only as a record of its variant's kinds (a TSWAP move into an
+empty vertex is a "swap" record), so every lazy clause also appears in the
+full encoding by construction.
 """
 
 from __future__ import annotations
@@ -253,10 +253,11 @@ def record_from_collision(inst: Instance, col: Collision) -> ConflictRecord:
     if col.kind == KIND_OCCUPANCY:
         return ConflictRecord("occupancy", col.t, i, col.where, j=j, u=col.src)
     u, v = col.where
+    if inst.variant == Variant.TSWAP:
+        # a move into an empty vertex is a swap nobody answers
+        return ConflictRecord("swap", col.t, i, v, u=u)
     if col.degenerate:
         return ConflictRecord("empty", col.t, i, v, u=u)
-    if inst.variant == Variant.TSWAP:
-        return ConflictRecord("swap", col.t, i, v, u=u)
     return ConflictRecord("rot", col.t, i, v, j=j, u=u)
 
 

@@ -5,12 +5,17 @@ dist(v, goal). An item finishes by settling at its goal, i.e. resting there
 through the horizon without violating any later constraint on the goal
 vertex. Trailing goal-waits are free, so the path cost equals the settle
 time.
+
+The search reads everything it consults per state from plain containers
+built once per call: the item's banned states and moves (`ConstraintSet.bans`)
+and the goal's column of the distance table. A state (v, t) is keyed as the
+integer t * n + v; heap entries stay (f, t, v), so ties break as before.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graphs import INF
 
@@ -39,17 +44,10 @@ class Constraint:
 
 
 class ConstraintSet:
-    """Immutable indexed collection of constraints; duplicates collapse."""
+    """Immutable collection of constraints; duplicates collapse."""
 
     def __init__(self, constraints=()):
         self._all = frozenset(constraints)
-        self._vertex: set[tuple[int, int, int]] = set()
-        self._edge: set[tuple[int, int, int, int]] = set()
-        for c in self._all:
-            if c.kind == VERTEX:
-                self._vertex.add((c.item, c.v, c.t))
-            else:
-                self._edge.add((c.item, c.u, c.v, c.t))
 
     def __len__(self):
         return len(self._all)
@@ -63,22 +61,16 @@ class ConstraintSet:
     def with_constraint(self, c: Constraint) -> "ConstraintSet":
         return ConstraintSet(self._all | {c})
 
-    def forbids_vertex(self, item: int, v: int, t: int) -> bool:
-        return (item, v, t) in self._vertex
-
-    def forbids_edge(self, item: int, u: int, v: int, t: int) -> bool:
-        return (item, u, v, t) in self._edge
-
-    def settle_barrier(self, item: int, goal: int) -> int:
-        """Earliest time from which the item may rest at its goal forever."""
-        barrier = 0
-        for i, v, t in self._vertex:
-            if i == item and v == goal:
-                barrier = max(barrier, t + 1)
-        for i, u, v, t in self._edge:
-            if i == item and u == goal and v == goal:
-                barrier = max(barrier, t + 1)
-        return barrier
+    def bans(self, item: int):
+        """The item's banned states {(v, t)} and moves {(u, v, t)}."""
+        states, moves = set(), set()
+        for c in self._all:
+            if c.item == item:
+                if c.u is None:
+                    states.add((c.v, c.t))
+                else:
+                    moves.add((c.u, c.v, c.t))
+        return states, moves
 
 
 def constrained_shortest_path(adj, dist, item: int, start: int, goal: int,
@@ -86,45 +78,56 @@ def constrained_shortest_path(adj, dist, item: int, start: int, goal: int,
     """Minimum-settle-time path for one item, or None when no path fits.
 
     adj: per-vertex neighbor lists (already restricted for token variants).
-    dist: DistTable over the same adjacency, used as the A* heuristic.
+    dist: DistTable over the same (undirected) adjacency, used as the A*
+    heuristic.
     Ties break on (smaller time, smaller vertex id) so runs are reproducible.
     """
-    h0 = dist(start, goal)
+    n = len(adj)
+    to_goal = dist.dist[goal]  # distances are symmetric: the goal's column
+    h0 = to_goal[start]
     if h0 >= INF:
         return None
-    barrier = cs.settle_barrier(item, goal)
-    if cs.forbids_vertex(item, start, 0):
+    states, moves = cs.bans(item)
+    # the earliest time from which the item may rest at its goal forever
+    barrier = max(
+        [t + 1 for v, t in states if v == goal]
+        + [t + 1 for u, v, t in moves if u == v == goal],
+        default=0,
+    )
+    if (start, 0) in states:
         return None
+    banned = {t * n + v for v, t in states}
 
     open_heap = [(h0, 0, start)]
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
     while open_heap:
-        f, t, v = heapq.heappop(open_heap)
-        if (v, t) in closed:
+        f, t, v = heappop(open_heap)
+        s = t * n + v
+        if s in closed:
             continue
-        closed.add((v, t))
+        closed.add(s)
         if v == goal and t >= barrier and t <= horizon:
             path = [v]
-            node = (v, t)
-            while node in parent:
-                node = parent[node]
-                path.append(node[0])
+            while s in parent:
+                s = parent[s]
+                path.append(s % n)
             path.reverse()
             return path
-        if t + 1 > horizon:
+        t1 = t + 1
+        if t1 > horizon:
             continue
+        base = t1 * n
         for w in (v,) + tuple(adj[v]):
-            hw = dist(w, goal)
-            if hw >= INF or t + 1 + hw > horizon:
+            hw = to_goal[w]
+            if hw >= INF or t1 + hw > horizon:
                 continue
-            if (w, t + 1) in closed:
+            s1 = base + w
+            if s1 in closed or s1 in banned:
                 continue
-            if cs.forbids_vertex(item, w, t + 1):
+            if moves and (v, w, t) in moves:
                 continue
-            if cs.forbids_edge(item, v, w, t):
-                continue
-            if (w, t + 1) not in parent:
-                parent[(w, t + 1)] = (v, t)
-                heapq.heappush(open_heap, (t + 1 + hw, t + 1, w))
+            if s1 not in parent:
+                parent[s1] = s
+                heappush(open_heap, (t1 + hw, t1, w))
     return None

@@ -146,6 +146,8 @@ def _check_structure(inst: Instance, paths) -> None:
 
 
 def _vertex_collisions(nxt, t: int) -> list[Collision]:
+    if len(set(nxt)) == len(nxt):
+        return []
     at: dict[int, list[int]] = {}
     for i, v in enumerate(nxt):
         at.setdefault(v, []).append(i)

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from reloc.cbs import (
@@ -12,7 +15,14 @@ from reloc.cbs import (
 from reloc.bench import suite_instance
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
-from reloc.relocation import Instance, Variant, plan_cost, random_instance, validate
+from reloc.relocation import (
+    Instance,
+    Variant,
+    plan_collisions,
+    plan_cost,
+    random_instance,
+    validate,
+)
 from reloc.solvers import mdd_sat_solve, smt_cbs_solve
 
 EDGE2 = build_graph(2, [(0, 1)])
@@ -28,6 +38,68 @@ def test_padded_configs_extends_short_paths():
 def test_joint_collisions_clean_plan_is_empty():
     i = Instance(EDGE2, Variant.TSWAP, (0, 1), (1, 0))
     assert joint_collisions(i, [(0, 1), (1, 0)]) == []
+
+
+def _random_walks(g, rng, starts, steps):
+    paths = []
+    for v in starts:
+        path = [v]
+        for _ in range(steps):
+            path.append(rng.choice((path[-1],) + g.adj[path[-1]]))
+        paths.append(tuple(path))
+    return paths
+
+
+def _head(collisions):
+    """The prefix of sorted collisions that ends at the first non-degenerate one."""
+    for n, c in enumerate(collisions):
+        if not c.degenerate:
+            return collisions[:n + 1]
+    return collisions
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_joint_collisions_is_the_head_of_plan_collisions(variant):
+    rng = random.Random(17)
+    graphs = [make_grid(3, 3), make_grid(4, 4), make_star(6), make_clique(5)]
+    kinds = {"clean": 0, "degenerate only": 0, "non-degenerate": 0}
+    for trial in range(600):
+        g = graphs[trial % len(graphs)]
+        k = rng.randint(1, g.n - 1)
+        inst = random_instance(g, variant, k, trial)
+        steps = rng.randint(0, 6)
+        shape = trial % 4
+        if shape == 0:  # random walks from the start configuration
+            paths = _random_walks(g, rng, inst.starts, steps)
+        elif shape == 1:  # random walks from a non-injective configuration
+            paths = _random_walks(g, rng, [rng.randrange(g.n) for _ in range(k)], steps)
+        elif shape == 2:  # everybody waits: a clean plan
+            paths = [(v,) * (steps + 1) for v in inst.starts]
+        else:  # one item walks, the others wait
+            mover = rng.randrange(k)
+            paths = [(v,) * (steps + 1) for v in inst.starts]
+            paths[mover] = _random_walks(g, rng, [inst.starts[mover]], steps)[0]
+        full = plan_collisions(inst, paths)
+        assert joint_collisions(inst, paths) == _head(full), (inst, paths)
+        if not full:
+            kinds["clean"] += 1
+        elif all(c.degenerate for c in full):
+            kinds["degenerate only"] += 1
+        else:
+            kinds["non-degenerate"] += 1
+    assert kinds["clean"] > 0 and kinds["non-degenerate"] > 0
+    if variant != Variant.MAPF:  # MAPF has no degenerate collisions
+        assert kinds["degenerate only"] > 0
+
+
+def test_cbs_keeps_its_budget():
+    inst = suite_instance("grid8", Variant.MAPF, 16, 0)
+    budget = 2.0
+    t0 = time.monotonic()
+    res = cbs_solve(inst, timeout=budget)
+    elapsed = time.monotonic() - t0
+    assert res.status == "timeout"
+    assert elapsed <= budget + max(0.05 * budget, 0.25)
 
 
 def test_solvability_precheck():

@@ -197,7 +197,6 @@ def test_refinement_clauses_appear_in_full_encoding(variant):
     # run the lazy loop by hand: every clause grounded for a collision that
     # validate reports on a model of encode_basic is a clause of encode_full
     kinds = set()
-    implied = 0
     for seed in range(4):
         inst = small_instance(variant, seed)
         lb = lower_bound(inst)
@@ -220,27 +219,15 @@ def test_refinement_clauses_appear_in_full_encoding(variant):
                     if clause is None:
                         continue
                     kinds.add(rec.kind)
-                    if tuple(sorted(clause)) in full:
-                        continue
-                    # the one exception: TSWAP grounds a move into an empty
-                    # vertex as an "empty" clause, which the full encoding
-                    # does not contain but implies through its swap clause
-                    assert variant == Variant.TSWAP and rec.kind == "empty", rec
-                    refuted = CnfFormula()
-                    refuted.num_vars = ff.num_vars
-                    for c in ff.clauses + [[-lit] for lit in clause]:
-                        refuted.add_clause(c)
-                    assert solve(refuted) == "UNSAT", rec
-                    implied += 1
+                    assert tuple(sorted(clause)) in full, rec
             else:
                 pytest.fail(f"refinement did not settle on {inst} at xi={xi}")
     expected = {
-        Variant.TSWAP: {"vertex", "swap", "empty"},
+        Variant.TSWAP: {"vertex", "swap"},
         Variant.TROT: {"vertex", "rot", "empty"},
         Variant.TPERM: {"vertex", "empty"},
     }[variant]
     assert kinds == expected
-    assert (implied > 0) == (variant == Variant.TSWAP)
 
 
 def test_records_sort_kind_major_then_by_fields():
@@ -289,8 +276,12 @@ def test_record_from_collision_grounds_each_kind():
     s = Instance(PATH4, Variant.TSWAP, (0, 1), (1, 0))
     r = record_from_collision(s, Collision(KIND_EDGE, (0, 1), (0, 1), 0))
     assert r.kind == "swap"
+    # degenerate: moving into an empty vertex is a swap nobody answers
     r = record_from_collision(s, Collision(KIND_EDGE, (0, 0), (2, 3), 0))
-    assert r.kind == "empty"  # degenerate: moving into an empty vertex
+    assert r == ConflictRecord("swap", t=0, i=0, v=3, u=2)
+    t = Instance(PATH4, Variant.TPERM, (0, 1), (1, 0))
+    r = record_from_collision(t, Collision(KIND_EDGE, (0, 0), (2, 3), 0))
+    assert r == ConflictRecord("empty", t=0, i=0, v=3, u=2)
     t = Instance(PATH4, Variant.TROT, (0, 1), (1, 0))
     r = record_from_collision(t, Collision(KIND_EDGE, (0, 1), (0, 1), 0))
     assert r.kind == "rot"

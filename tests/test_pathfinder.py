@@ -1,6 +1,6 @@
 import pytest
 
-from reloc.graphs import all_pairs_distances, make_grid, build_graph
+from reloc.graphs import INF, all_pairs_distances, make_grid, build_graph
 from reloc.pathfinder import (
     EDGE,
     VERTEX,
@@ -35,11 +35,11 @@ def test_constraint_set_indexing_and_dedup():
     c = Constraint(0, VERTEX, 3, 4)
     cs = ConstraintSet([c]).with_constraint(c)
     assert len(cs) == 1
-    assert cs.forbids_vertex(0, 4, 3)
-    assert not cs.forbids_vertex(1, 4, 3)
+    assert cs.bans(0) == ({(4, 3)}, set())
+    assert cs.bans(1) == (set(), set())
     cs2 = cs.with_constraint(Constraint(0, EDGE, 2, 5, u=4))
-    assert cs2.forbids_edge(0, 4, 5, 2)
-    assert not cs2.forbids_edge(0, 5, 4, 2)
+    assert cs2.bans(0) == ({(4, 3)}, {(4, 5, 2)})
+    assert len(cs) == 1 and len(cs2) == 2
 
 
 def test_unconstrained_path_is_geodesic():
@@ -128,3 +128,100 @@ def test_cost_monotone_in_constraints():
             cur = len(p) - 1
             assert cur >= prev or cur >= base
             prev = max(prev, cur)
+
+
+def reference_shortest_path(adj, dist, item, start, goal, cs, horizon):
+    """The low level as first written: constraint lookups per successor."""
+    import heapq
+
+    h0 = dist(start, goal)
+    if h0 >= INF:
+        return None
+    barrier = 0
+    for c in cs:
+        if c.item == item and c.v == goal and c.u in (None, goal):
+            barrier = max(barrier, c.t + 1)
+    if Constraint(item, VERTEX, 0, start) in cs:
+        return None
+
+    open_heap = [(h0, 0, start)]
+    parent = {}
+    closed = set()
+    while open_heap:
+        f, t, v = heapq.heappop(open_heap)
+        if (v, t) in closed:
+            continue
+        closed.add((v, t))
+        if v == goal and t >= barrier and t <= horizon:
+            path = [v]
+            node = (v, t)
+            while node in parent:
+                node = parent[node]
+                path.append(node[0])
+            path.reverse()
+            return path
+        if t + 1 > horizon:
+            continue
+        for w in (v,) + tuple(adj[v]):
+            hw = dist(w, goal)
+            if hw >= INF or t + 1 + hw > horizon:
+                continue
+            if (w, t + 1) in closed:
+                continue
+            if Constraint(item, VERTEX, t + 1, w) in cs:
+                continue
+            if Constraint(item, EDGE, t, w, u=v) in cs:
+                continue
+            if (w, t + 1) not in parent:
+                parent[(w, t + 1)] = (v, t)
+                heapq.heappush(open_heap, (t + 1 + hw, t + 1, w))
+    return None
+
+
+def _random_constraints(rng, g, items, goal, count):
+    out = []
+    for _ in range(count):
+        item = rng.choice(items)
+        t = rng.randint(0, 8)
+        kind = rng.randrange(4)
+        if kind == 0:  # a vertex at a time
+            out.append(Constraint(item, VERTEX, t, rng.randrange(g.n)))
+        elif kind == 1:  # a move along an edge
+            u = rng.randrange(g.n)
+            if g.adj[u]:
+                out.append(Constraint(item, EDGE, t, rng.choice(g.adj[u]), u=u))
+        elif kind == 2:  # a wait
+            u = rng.randrange(g.n)
+            out.append(Constraint(item, EDGE, t, u, u=u))
+        else:  # being at, or waiting at, the goal
+            if rng.random() < 0.5:
+                out.append(Constraint(item, VERTEX, t, goal))
+            else:
+                out.append(Constraint(item, EDGE, t, goal, u=goal))
+    return out
+
+
+def test_matches_the_reference_on_random_constraint_sets():
+    import random
+
+    from reloc.graphs import make_clique, make_star
+
+    rng = random.Random(23)
+    graphs = [make_grid(3, 3), make_grid(4, 4), make_star(6), make_clique(5),
+              build_graph(5, [(0, 1), (1, 2), (3, 4)])]
+    found = missing = 0
+    for trial in range(1500):
+        g = graphs[trial % len(graphs)]
+        dt = all_pairs_distances(g)
+        start, goal = rng.randrange(g.n), rng.randrange(g.n)
+        # constraints on item 0 and on another item, which must not matter
+        cs = ConstraintSet(_random_constraints(rng, g, [0, 0, 1], goal, rng.randint(0, 12)))
+        horizon = rng.choice([rng.randint(0, 6), 9 + g.n])
+        want = reference_shortest_path(g.adj, dt, 0, start, goal, cs, horizon)
+        got = constrained_shortest_path(g.adj, dt, 0, start, goal, cs, horizon)
+        assert got == want, (g, start, goal, sorted(cs, key=repr), horizon)
+        if want is None:
+            missing += 1
+        else:
+            found += 1
+    assert found > 100 and missing > 100
