@@ -32,7 +32,6 @@ from .relocation import (
 from .pathfinder import Constraint, ConstraintSet, constrained_shortest_path
 from .satcore import CnfFormula, SatSolver, from_dimacs, solve, to_dimacs
 from .encoder import (
-    ConflictRecord,
     Mdd,
     VarMap,
     build_mdd,
@@ -54,7 +53,7 @@ __all__ = [
     "random_instance", "random_permutation_instance", "step_legal", "validate",
     "Constraint", "ConstraintSet", "constrained_shortest_path",
     "CnfFormula", "SatSolver", "from_dimacs", "solve", "to_dimacs",
-    "ConflictRecord", "Mdd", "VarMap", "build_mdd", "encode_basic",
+    "Mdd", "VarMap", "build_mdd", "encode_basic",
     "encode_full", "extract_plan", "lower_bound", "makespan_bound",
     "SolveResult", "SolveStats", "is_solvable", "oracle_solve", "cbs_solve",
     "mdd_sat_solve", "smt_cbs_solve",

@@ -258,11 +258,7 @@ def summarize(rows: list[MetricsRow]) -> list[SummaryCell]:
     return out
 
 
-SUMMARY_HEADER = [
-    "family", "variant", "k", "algorithm", "runs", "solve_rate",
-    "mean_runtime_ms", "median_runtime_ms", "mean_xi", "mean_clauses",
-    "mean_variables", "clause_ratio",
-]
+SUMMARY_HEADER = [f.name for f in fields(SummaryCell)]
 
 
 def _summary_fields(c: SummaryCell, empty: str) -> list[str]:

@@ -2,19 +2,23 @@
 
 Two-level search: the low level plans each item independently under a set of
 vertex/edge prohibitions; the high level best-first searches over constraint
-sets, splitting on the first collision of the joint plan. Branching keeps
-optimality because every solution violates at least one child constraint of
-the chosen collision:
+sets, splitting on the first collision of the joint plan. The branching rule
+is chosen by the collision's kind alone, and keeps optimality because every
+solution violates at least one child constraint of the chosen collision:
 
-  shared vertex        -> forbid the vertex at that time for either item
-  MAPF occupied target -> forbid the mover's arrival or the occupant's stay
-  TROT head-on swap    -> forbid either traversal of the edge
-  TSWAP unreciprocated  -> forbid the traversal, or forbid the would-be
-  traversal               partner's actual action at that time (any solution
-                          containing the traversal swaps the partner back,
-                          which differs from the partner's current action)
+  vertex    (shared vertex)       -> forbid the vertex at that time for
+                                     either item
+  occupancy (MAPF occupied target) -> forbid the mover's arrival or the
+                                     occupant's stay
+  rot       (TROT head-on swap)   -> forbid either traversal of the edge
+  swap      (TSWAP unreciprocated -> forbid the traversal, or forbid the
+            traversal)               would-be partner's actual action at that
+                                     time (any solution containing the
+                                     traversal swaps the partner back, which
+                                     differs from the partner's current action)
 
-Token moves into unoccupied vertices never need a branch: items of a token
+Degenerate collisions (i == j: a token move into an unoccupied vertex,
+kind empty, or swap under TSWAP) never need a branch: items of a token
 variant are confined to the support, and if some support vertex is empty at
 time t then two items share another vertex at t, so a shared-vertex
 collision at the same time always exists and is split instead.
@@ -48,6 +52,7 @@ from .relocation import (
     Collision,
     Instance,
     KIND_OCCUPANCY,
+    KIND_ROT,
     KIND_VERTEX,
     TOKEN_VARIANTS,
     Variant,
@@ -106,9 +111,8 @@ def search_cap(inst: Instance) -> int | None:
 
 def padded_configs(paths):
     """Common-horizon view of per-item paths, extended by goal waits."""
-    horizon = max(len(p) for p in paths) - 1
-    padded = [tuple(p) + (p[-1],) * (horizon + 1 - len(p)) for p in paths]
-    return padded, horizon
+    length = max(len(p) for p in paths)
+    return [tuple(p) + (p[-1],) * (length - len(p)) for p in paths]
 
 
 def joint_collisions(inst: Instance, padded) -> list[Collision]:
@@ -138,33 +142,30 @@ def joint_collisions(inst: Instance, padded) -> list[Collision]:
     return found[:found.index(best) + 1]
 
 
-def _branch_constraints(inst: Instance, col: Collision, padded) -> list[Constraint]:
+def _branch_constraints(col: Collision, padded) -> list[Constraint]:
     """The child constraints for one non-degenerate collision."""
-    i, j = col.items
+    t, i, v, j, u = col.t, col.i, col.v, col.j, col.u
     if col.kind == KIND_VERTEX:
-        v = col.where
         return [
-            Constraint(i, VERTEX, col.t, v),
-            Constraint(j, VERTEX, col.t, v),
+            Constraint(i, VERTEX, t, v),
+            Constraint(j, VERTEX, t, v),
         ]
     if col.kind == KIND_OCCUPANCY:
-        v = col.where
         return [
-            Constraint(i, VERTEX, col.t + 1, v),
-            Constraint(j, VERTEX, col.t, v),
+            Constraint(i, VERTEX, t + 1, v),
+            Constraint(j, VERTEX, t, v),
         ]
-    u, v = col.where
-    if inst.variant == Variant.TROT:
+    if col.kind == KIND_ROT:
         return [
-            Constraint(i, EDGE, col.t, v, u=u),
-            Constraint(j, EDGE, col.t, u, u=v),
+            Constraint(i, EDGE, t, v, u=u),
+            Constraint(j, EDGE, t, u, u=v),
         ]
-    # TSWAP: partner j sits at v and currently does w = padded[j][t+1];
-    # any solution keeping i's traversal needs j to do v->u instead.
-    w = padded[j][col.t + 1]
+    # swap: partner j sits at v and currently does w = padded[j][t+1]; any
+    # solution keeping i's traversal needs j to do v->u instead.
+    w = padded[j][t + 1]
     return [
-        Constraint(i, EDGE, col.t, v, u=u),
-        Constraint(j, EDGE, col.t, w, u=v),
+        Constraint(i, EDGE, t, v, u=u),
+        Constraint(j, EDGE, t, w, u=v),
     ]
 
 
@@ -213,7 +214,7 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
             capped = True
             break
         stats.ct_nodes += 1
-        padded, _ = padded_configs(node.paths)
+        padded = padded_configs(node.paths)
         collisions = joint_collisions(inst, padded)
         pick = next((c for c in collisions if not c.degenerate), None)
         if pick is None:
@@ -221,7 +222,7 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
                 # unreachable by the pigeonhole argument above
                 raise RuntimeError("only degenerate collisions in joint plan")
             return finish(stats, t0, STATUS_SOLVED, make_plan(padded))
-        for c in _branch_constraints(inst, pick, padded):
+        for c in _branch_constraints(pick, padded):
             item = c.item
             cs = node.constraints[item].with_constraint(c)
             p = _replan(inst, adj, dist, item, cs)

@@ -37,6 +37,12 @@ class InstanceFormatError(ValueError):
     pass
 
 
+def _decimal(parts) -> bool:
+    """True iff every part is an ASCII decimal number (str.isdigit alone
+    also accepts superscripts and other scripts' digits)."""
+    return all(p.isascii() and p.isdigit() for p in parts)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance grammar; errors carry 1-based line numbers."""
     variant = None
@@ -62,15 +68,15 @@ def parse_instance(text: str) -> Instance:
         elif parts[0] == "vertices":
             if n is not None:
                 bad("duplicate vertices line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _decimal(parts[1:]):
                 bad("expected 'vertices <n>'")
             n = int(parts[1])
         elif parts[0] == "e":
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not _decimal(parts[1:]):
                 bad("expected 'e <u> <v>'")
             edges.append((int(parts[1]), int(parts[2])))
         elif parts[0] == "a":
-            if len(parts) != 4 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 4 or not _decimal(parts[1:]):
                 bad("expected 'a <id> <start> <goal>'")
             item = int(parts[1])
             if item in items:

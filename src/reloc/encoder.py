@@ -13,28 +13,30 @@ Variables: X(i,v,t) "item i at v at time t", E(i,u,v,t) "item i traverses
 arc u->v between t and t+1" (u == v is the wait arc), U(i,t) "item i is
 still unsettled at time t" for t in [d_i, d_i + delta).
 
-A movement rule is posted as the clauses of conflict records, each
-grounded by the one clause builder of its kind (vertex, occupancy, swap,
-rot, empty). The full encoding grounds every record of the kinds that make
-up the variant's rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty
-(TPERM) or empty and rot (TROT). The basic encoding keeps only single-item
-path consistency plus cost accounting and grounds the records that
-validation discovered. Both go through the same builders, and a collision
-is grounded only as a record of its variant's kinds (a TSWAP move into an
-empty vertex is a "swap" record), so every lazy clause also appears in the
-full encoding by construction.
+A movement rule is posted as the clauses of collisions (relocation.Collision),
+each grounded by the one clause builder of its kind (vertex, occupancy,
+swap, rot, empty). The full encoding grounds every collision of the kinds
+that make up the variant's rule: vertex, plus occupancy (MAPF), swap
+(TSWAP), empty (TPERM) or empty and rot (TROT). The basic encoding keeps
+only single-item path consistency plus cost accounting and grounds the
+records of the collisions that validation discovered. Both go through the
+same builders, and step_collisions names only the kinds of the variant's
+rule (a TSWAP move into an empty vertex is a "swap"), so every lazy clause
+also appears in the full encoding by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .graphs import INF
 from .relocation import (
     Collision,
     Instance,
+    KIND_EMPTY,
     KIND_OCCUPANCY,
+    KIND_ROT,
+    KIND_SWAP,
     KIND_VERTEX,
     Plan,
     Variant,
@@ -224,44 +226,21 @@ def _encode_cost(formula: CnfFormula, vm: VarMap) -> None:
 
 
 # ---------------------------------------------------------------------------
-# conflict records, one clause builder per kind, and the two encodings
+# records, one clause builder per collision kind, and the two encodings
 
 
-class ConflictRecord(NamedTuple):
-    """Semantic description of one forbidden interaction, independent of any
-    particular xi. kinds: "vertex" (i and j share v at t), "occupancy" (MAPF:
-    i entering v over u->v while j rests at v), "swap" (i may traverse u->v
-    only as half of a swap), "rot" (i and j swap head-on over u<->v), "empty"
-    (token move u->v requires v occupied).
+def record_from_collision(col: Collision) -> Collision:
+    """The record a lazy refinement keeps for a collision: the collision
+    itself, with the partner of a swap or empty move dropped, since their
+    clauses do not name it.
 
     Records sort kind-major, then by (t, i, v, j, u): within one kind j and u
     are always set or always None, so no None is ever compared with an int.
     """
-
-    kind: str
-    t: int
-    i: int
-    v: int
-    j: int | None = None
-    u: int | None = None
+    return col._replace(j=None) if col.kind in (KIND_SWAP, KIND_EMPTY) else col
 
 
-def record_from_collision(inst: Instance, col: Collision) -> ConflictRecord:
-    i, j = col.items
-    if col.kind == KIND_VERTEX:
-        return ConflictRecord("vertex", col.t, min(i, j), col.where, j=max(i, j))
-    if col.kind == KIND_OCCUPANCY:
-        return ConflictRecord("occupancy", col.t, i, col.where, j=j, u=col.src)
-    u, v = col.where
-    if inst.variant == Variant.TSWAP:
-        # a move into an empty vertex is a swap nobody answers
-        return ConflictRecord("swap", col.t, i, v, u=u)
-    if col.degenerate:
-        return ConflictRecord("empty", col.t, i, v, u=u)
-    return ConflictRecord("rot", col.t, i, v, j=j, u=u)
-
-
-# One clause builder per record kind, (vm, t, i, v, j, u) -> clause | None.
+# One clause builder per collision kind, (vm, t, i, v, j, u) -> clause | None.
 # None means every violating assignment is already impossible (a negated
 # variable does not exist); positive literals over missing variables are
 # dropped.
@@ -298,15 +277,15 @@ def _empty(vm: VarMap, t, i, v, j, u):
 
 
 _GROUND = {
-    "vertex": _vertex,
-    "occupancy": _occupancy,
-    "swap": _swap,
-    "rot": _rot,
-    "empty": _empty,
+    KIND_VERTEX: _vertex,
+    KIND_OCCUPANCY: _occupancy,
+    KIND_SWAP: _swap,
+    KIND_ROT: _rot,
+    KIND_EMPTY: _empty,
 }
 
 
-def clause_for_record(rec: ConflictRecord, vm: VarMap):
+def clause_for_record(rec: Collision, vm: VarMap):
     """Ground clause for a record under the current variables, or None."""
     ground = _GROUND.get(rec.kind)
     if ground is None:

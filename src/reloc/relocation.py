@@ -25,6 +25,7 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graphs import INF, Graph, DistTable, bfs_distances
 
@@ -38,33 +39,46 @@ class Variant(str, Enum):
 
 TOKEN_VARIANTS = frozenset({Variant.TSWAP, Variant.TROT, Variant.TPERM})
 
-# Collision kinds. "vertex": two items in one vertex at one time.
-# "occupancy": a MAPF mover entered a vertex that was not empty.
-# "edge": a directed-edge violation (failed swap, forbidden swap-back, or a
-# token-variant move into an unoccupied vertex, recorded with items[0] ==
-# items[1]).
+# Collision kinds, one per rule a step can break. In Collision(kind, t, i,
+# v, j, u):
+#   "vertex":    i and j (i < j) are both at v at time t.
+#   "occupancy": MAPF: i moves u->v at t while j is at v.
+#   "swap":      TSWAP: i moves u->v at t and j, at v, does not move back;
+#                j == i when v is empty (a swap that nobody answers).
+#   "rot":       TROT: i and j (i < j) swap head-on over u<->v at t.
+#   "empty":     TROT/TPERM: i moves u->v at t into an empty vertex, j == i.
 KIND_VERTEX = "vertex"
 KIND_OCCUPANCY = "occupancy"
-KIND_EDGE = "edge"
-_KIND_RANK = {KIND_VERTEX: 0, KIND_OCCUPANCY: 1, KIND_EDGE: 2}
+KIND_SWAP = "swap"
+KIND_ROT = "rot"
+KIND_EMPTY = "empty"
+_KIND_RANK = {KIND_VERTEX: 0, KIND_OCCUPANCY: 1, KIND_SWAP: 2, KIND_ROT: 2, KIND_EMPTY: 2}
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(NamedTuple):
+    """One illegal interaction of items i and j at v (entered from u) at time t.
+
+    The one vocabulary of step legality: CBS branches on a collision and the
+    SAT drivers ground it as a clause. Tuples order kind-major, then by
+    (t, i, v, j, u); sort_key orders time-major instead.
+    """
+
     kind: str
-    items: tuple[int, int]
-    where: int | tuple[int, int]  # vertex, or directed edge (u, v)
     t: int
-    src: int | None = None  # mover origin for occupancy records
+    i: int
+    v: int
+    j: int | None = None
+    u: int | None = None
 
     def sort_key(self):
-        w = self.where if isinstance(self.where, tuple) else (self.where, -1)
-        return (self.t, min(self.items), _KIND_RANK[self.kind], self.items, w)
+        rank = _KIND_RANK[self.kind]
+        where = (self.v, -1) if rank < 2 else (self.u, self.v)
+        return (self.t, min(self.i, self.j), rank, self.i, self.j, where)
 
     @property
     def degenerate(self) -> bool:
-        """True for structural single-item records (move into empty vertex)."""
-        return self.items[0] == self.items[1]
+        """True for single-item collisions (a token move into an empty vertex)."""
+        return self.i == self.j
 
 
 @dataclass(frozen=True)
@@ -155,7 +169,7 @@ def _vertex_collisions(nxt, t: int) -> list[Collision]:
     for v, items in at.items():
         for a in range(len(items)):
             for b in range(a + 1, len(items)):
-                out.append(Collision(KIND_VERTEX, (items[a], items[b]), v, t))
+                out.append(Collision(KIND_VERTEX, t, items[a], v, items[b]))
     return out
 
 
@@ -187,16 +201,17 @@ def step_collisions(inst: Instance, cur, nxt, t: int) -> list[Collision]:
         j = occupant.get(v)
         if variant == Variant.MAPF:
             if j is not None:
-                collisions.append(Collision(KIND_OCCUPANCY, (i, j), v, t, src=u))
+                collisions.append(Collision(KIND_OCCUPANCY, t, i, v, j, u))
         elif j is None:
             # Token variants: moving into an unoccupied vertex is illegal.
-            collisions.append(Collision(KIND_EDGE, (i, i), (u, v), t))
+            kind = KIND_SWAP if variant == Variant.TSWAP else KIND_EMPTY
+            collisions.append(Collision(kind, t, i, v, i, u))
         elif variant == Variant.TSWAP:
             if not (cur[j] == v and nxt[j] == u):
-                collisions.append(Collision(KIND_EDGE, (i, j), (u, v), t))
+                collisions.append(Collision(KIND_SWAP, t, i, v, j, u))
         elif variant == Variant.TROT:
             if cur[j] == v and nxt[j] == u and i < j:
-                collisions.append(Collision(KIND_EDGE, (i, j), (u, v), t))
+                collisions.append(Collision(KIND_ROT, t, i, v, j, u))
         # TPERM: occupied targets are policed by vertex collisions alone; a
         # stayer at v shows up as a shared vertex at t+1, and chains that do
         # not close a cycle terminate in a stayer or an empty vertex.

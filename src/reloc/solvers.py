@@ -23,7 +23,6 @@ import time
 
 from .cbs import search_cap
 from .encoder import (
-    ConflictRecord,
     clause_for_record,
     encode_basic,
     encode_full,
@@ -31,7 +30,7 @@ from .encoder import (
     lower_bound,
     record_from_collision,
 )
-from .relocation import Instance, validate
+from .relocation import Collision, Instance, validate
 from .result import (
     STATUS_LIMIT,
     STATUS_SOLVED,
@@ -106,7 +105,7 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
     formula from scratch after every refinement.
     """
     stats = SolveStats(algorithm="smtcbs")
-    records: set[ConflictRecord] = set()
+    records: set[Collision] = set()
 
     def test_bound(xi, deadline):
         formula, vm = encode_basic(inst, xi, sorted(records))
@@ -133,7 +132,7 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
             collisions = validate(inst, plan)
             if not collisions:
                 return plan
-            new_recs = sorted({record_from_collision(inst, c) for c in collisions})
+            new_recs = sorted({record_from_collision(c) for c in collisions})
             added = 0
             for rec in new_recs:
                 records.add(rec)

@@ -30,8 +30,8 @@ PATH3 = build_graph(3, [(0, 1), (1, 2)])
 
 
 def test_padded_configs_extends_short_paths():
-    padded, horizon = padded_configs([(0, 1, 2), (5,)])
-    assert horizon == 2
+    padded = padded_configs([(0, 1, 2), (5,)])
+    assert len(padded[0]) - 1 == 2
     assert padded == [(0, 1, 2), (5, 5, 5)]
 
 

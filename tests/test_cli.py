@@ -57,6 +57,10 @@ def test_parse_serialize_round_trip():
     ("variant mapf\nvertices 3\ne 0 1\na 1 0 1\n", "ids must be exactly"),
     ("variant mapf\nvertices 3\ne 0 1\na 0 0 1\na 0 1 0\n", "line 5: duplicate"),
     ("variant mapf\nvertices 2\ne 0 5\na 0 0 1\n", "out of range"),
+    # ids are ASCII decimal: no superscripts, no other scripts' digits
+    ("variant mapf\nvertices \u00b2\n", "line 2"),
+    ("variant mapf\nvertices 2\ne 0 1\na 0 0 \u00b9\n", "line 4"),
+    ("variant mapf\nvertices 2\ne 0 \u0661\na 0 0 1\n", "line 3"),
 ])
 def test_parse_errors_are_located(text, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):
@@ -247,6 +251,13 @@ def test_solve_rejects_input_that_is_not_utf8(tmp_path, capsys):
     path.write_bytes(SWAP_TEXT.encode() + b"# \xff\xfe\n")
     assert main(["solve", "--algo", "cbs", "--in", str(path)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_rejects_non_ascii_digits(tmp_path, capsys):
+    path = write(tmp_path, "i.txt", SWAP_TEXT.replace("vertices 2", "vertices \u00b2"))
+    assert main(["solve", "--algo", "cbs", "--in", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err
 
 
 def test_solve_checks_the_stats_directory_before_solving(tmp_path, capsys):

@@ -1,0 +1,53 @@
+"""The search is unchanged: the benchmark's deterministic counters are pinned.
+
+perfbench/run.py's traced_counters solves the first instances of a workload
+with all three solvers and returns the counters that repeat exactly from run
+to run (CT nodes, cost bounds, clauses, refinements, CDCL conflicts). The
+slices below cover all four variants: desk's first 48 instances are its
+whole grid3 family (MAPF, TSWAP, TROT, TPERM), and grid8-tokens' first 12
+reach past its TSWAP instances into TPERM.
+
+A change meant to keep the search step for step must leave these values
+alone. A change that alters the search updates the pins and lists the old
+and new values side by side in CHANGES.md.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+for path in (str(BENCH.parent / "src"), str(BENCH)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+import run  # noqa: E402
+
+PINS = {
+    ("desk", 48): {
+        "cbs.ct_nodes": 202, "encoder.bounds": 182,
+        "encoder.clauses_built": 34733, "solvers.mddsat_clauses": 10242,
+        "solvers.smtcbs_clauses": 8740, "solvers.refinements": 185,
+        "satcore.conflicts": 197,
+    },
+    ("grid8-mapf", 12): {
+        "cbs.ct_nodes": 306, "encoder.bounds": 38,
+        "encoder.clauses_built": 32032, "solvers.mddsat_clauses": 12502,
+        "solvers.smtcbs_clauses": 11656, "solvers.refinements": 94,
+        "satcore.conflicts": 70,
+    },
+    ("grid8-tokens", 12): {
+        "cbs.ct_nodes": 8635, "encoder.bounds": 164,
+        "encoder.clauses_built": 249577, "solvers.mddsat_clauses": 38714,
+        "solvers.smtcbs_clauses": 30590, "solvers.refinements": 482,
+        "satcore.conflicts": 1645,
+    },
+}
+
+
+@pytest.mark.parametrize("workload,limit", sorted(PINS))
+def test_traced_counters_are_pinned(workload, limit, capsys):
+    got = run.traced_counters(workload, 1, limit)
+    assert set(run.DETERMINISTIC) == set(PINS[workload, limit])
+    assert got == {"failed": 0, **PINS[workload, limit]}

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from reloc.encoder import (
-    ConflictRecord,
     VarMap,
     at_most_k,
     build_mdd,
@@ -18,6 +17,7 @@ from reloc.encoder import (
 from reloc.graphs import INF, build_graph, make_clique, make_grid
 from reloc.oracle import oracle_solve
 from reloc.relocation import (
+    Collision,
     Instance,
     Variant,
     plan_cost,
@@ -213,7 +213,7 @@ def test_refinement_clauses_appear_in_full_encoding(variant):
                 if not collisions:
                     break
                 for col in collisions:
-                    rec = record_from_collision(inst, col)
+                    rec = record_from_collision(col)
                     records.append(rec)
                     clause = clause_for_record(rec, vm)
                     if clause is None:
@@ -234,17 +234,17 @@ def test_records_sort_kind_major_then_by_fields():
     # the lazy driver grounds records in sorted order, so this order fixes
     # its clause order; j and u are None for some kinds
     recs = [
-        ConflictRecord("vertex", t=1, i=0, v=4, j=2),
-        ConflictRecord("swap", t=0, i=1, v=3, u=2),
-        ConflictRecord("empty", t=2, i=0, v=1, u=0),
-        ConflictRecord("rot", t=0, i=2, v=1, j=0, u=5),
-        ConflictRecord("occupancy", t=0, i=1, v=2, j=0, u=1),
-        ConflictRecord("vertex", t=1, i=0, v=4, j=1),
-        ConflictRecord("swap", t=0, i=1, v=2, u=7),
-        ConflictRecord("empty", t=0, i=3, v=1, u=2),
-        ConflictRecord("rot", t=0, i=2, v=1, j=0, u=4),
-        ConflictRecord("occupancy", t=0, i=0, v=2, j=1, u=3),
-        ConflictRecord("vertex", t=0, i=1, v=0, j=2),
+        Collision("vertex", t=1, i=0, v=4, j=2),
+        Collision("swap", t=0, i=1, v=3, u=2),
+        Collision("empty", t=2, i=0, v=1, u=0),
+        Collision("rot", t=0, i=2, v=1, j=0, u=5),
+        Collision("occupancy", t=0, i=1, v=2, j=0, u=1),
+        Collision("vertex", t=1, i=0, v=4, j=1),
+        Collision("swap", t=0, i=1, v=2, u=7),
+        Collision("empty", t=0, i=3, v=1, u=2),
+        Collision("rot", t=0, i=2, v=1, j=0, u=4),
+        Collision("occupancy", t=0, i=0, v=2, j=1, u=3),
+        Collision("vertex", t=0, i=1, v=0, j=2),
     ]
     got = sorted(recs)
     want = sorted(recs, key=lambda r: (
@@ -256,34 +256,32 @@ def test_records_sort_kind_major_then_by_fields():
     assert [r.kind for r in got] == (
         ["empty"] * 2 + ["occupancy"] * 2 + ["rot"] * 2 + ["swap"] * 2 + ["vertex"] * 3
     )
-    assert got[0] == ConflictRecord("empty", t=0, i=3, v=1, u=2)
+    assert got[0] == Collision("empty", t=0, i=3, v=1, u=2)
     assert got[-3:] == [
-        ConflictRecord("vertex", t=0, i=1, v=0, j=2),
-        ConflictRecord("vertex", t=1, i=0, v=4, j=1),
-        ConflictRecord("vertex", t=1, i=0, v=4, j=2),
+        Collision("vertex", t=0, i=1, v=0, j=2),
+        Collision("vertex", t=1, i=0, v=4, j=1),
+        Collision("vertex", t=1, i=0, v=4, j=2),
     ]
     assert sorted(set(recs + recs)) == got
 
 
 def test_record_from_collision_grounds_each_kind():
-    from reloc.relocation import Collision, KIND_EDGE, KIND_OCCUPANCY, KIND_VERTEX
+    from reloc.relocation import (
+        KIND_EMPTY, KIND_OCCUPANCY, KIND_ROT, KIND_SWAP, KIND_VERTEX,
+    )
 
-    i = Instance(PATH4, Variant.MAPF, (0, 2), (1, 3))
-    r = record_from_collision(i, Collision(KIND_VERTEX, (0, 1), 1, 2))
+    r = record_from_collision(Collision(KIND_VERTEX, 2, 0, 1, 1))
     assert (r.kind, r.i, r.j, r.v, r.t) == ("vertex", 0, 1, 1, 2)
-    r = record_from_collision(i, Collision(KIND_OCCUPANCY, (0, 1), 1, 0, src=0))
+    r = record_from_collision(Collision(KIND_OCCUPANCY, 0, 0, 1, 1, 0))
     assert r.kind == "occupancy" and r.u == 0
-    s = Instance(PATH4, Variant.TSWAP, (0, 1), (1, 0))
-    r = record_from_collision(s, Collision(KIND_EDGE, (0, 1), (0, 1), 0))
+    r = record_from_collision(Collision(KIND_SWAP, 0, 0, 1, 1, 0))
     assert r.kind == "swap"
     # degenerate: moving into an empty vertex is a swap nobody answers
-    r = record_from_collision(s, Collision(KIND_EDGE, (0, 0), (2, 3), 0))
-    assert r == ConflictRecord("swap", t=0, i=0, v=3, u=2)
-    t = Instance(PATH4, Variant.TPERM, (0, 1), (1, 0))
-    r = record_from_collision(t, Collision(KIND_EDGE, (0, 0), (2, 3), 0))
-    assert r == ConflictRecord("empty", t=0, i=0, v=3, u=2)
-    t = Instance(PATH4, Variant.TROT, (0, 1), (1, 0))
-    r = record_from_collision(t, Collision(KIND_EDGE, (0, 1), (0, 1), 0))
+    r = record_from_collision(Collision(KIND_SWAP, 0, 0, 3, 0, 2))
+    assert r == Collision("swap", t=0, i=0, v=3, u=2)
+    r = record_from_collision(Collision(KIND_EMPTY, 0, 0, 3, 0, 2))
+    assert r == Collision("empty", t=0, i=0, v=3, u=2)
+    r = record_from_collision(Collision(KIND_ROT, 0, 0, 1, 1, 0))
     assert r.kind == "rot"
 
 
@@ -293,7 +291,7 @@ def test_clause_for_record_drops_absent_literals():
     vm = VarMap(f, inst, lower_bound(inst))
     # item 1 can never reach vertex 0 at t=0, so the forbidden pair cannot
     # happen and the record contributes nothing
-    rec = ConflictRecord("vertex", t=0, i=0, v=0, j=1)
+    rec = Collision("vertex", t=0, i=0, v=0, j=1)
     assert clause_for_record(rec, vm) is None
     # a swap record keeps its negated head and drops only missing partner
     # back-arcs (positive literals)
@@ -302,7 +300,7 @@ def test_clause_for_record_drops_absent_literals():
     vs = VarMap(fs, s, 2)
     head = vs.e(0, 0, 1, 0)
     assert head is not None
-    clause = clause_for_record(ConflictRecord("swap", t=0, i=0, v=1, u=0), vs)
+    clause = clause_for_record(Collision("swap", t=0, i=0, v=1, u=0), vs)
     assert clause[0] == -head
     assert all(lit > 0 for lit in clause[1:])
 
@@ -314,7 +312,7 @@ def test_encode_basic_with_records_appends_their_clauses():
     recs = []
     for v in range(inst.graph.n):
         for t in range(vm.mu + 1):
-            r = ConflictRecord("vertex", t=t, i=0, v=v, j=1)
+            r = Collision("vertex", t=t, i=0, v=v, j=1)
             if clause_for_record(r, vm) is not None:
                 recs.append(r)
     f1, vm1 = encode_basic(inst, xi, records=recs)

@@ -4,8 +4,10 @@ from reloc.graphs import INF, build_graph, make_clique, make_grid, make_star
 from reloc.relocation import (
     Collision,
     Instance,
-    KIND_EDGE,
+    KIND_EMPTY,
     KIND_OCCUPANCY,
+    KIND_ROT,
+    KIND_SWAP,
     KIND_VERTEX,
     Variant,
     effective_adjacency,
@@ -61,7 +63,7 @@ def test_mapf_move_into_occupied_is_occupancy_collision():
     kinds = {c.kind for c in cols}
     assert KIND_OCCUPANCY in kinds and KIND_VERTEX in kinds
     occ = next(c for c in cols if c.kind == KIND_OCCUPANCY)
-    assert occ.items == (0, 1) and occ.where == 1 and occ.src == 0
+    assert (occ.i, occ.j, occ.v, occ.u) == (0, 1, 1, 0)
 
 
 def test_mapf_trains_are_legal():
@@ -82,13 +84,18 @@ def test_tswap_swap_legal_one_sided_not():
     i = inst(Variant.TSWAP, (0, 1), (1, 0))
     assert step_legal(i, (0, 1), (1, 0)) == []
     cols = step_legal(i, (0, 1), (1, 1))
-    assert any(c.kind == KIND_EDGE and c.items == (0, 1) for c in cols)
+    assert any(c.kind == KIND_SWAP and (c.i, c.j) == (0, 1) for c in cols)
 
 
-def test_tswap_move_into_empty_is_degenerate_edge_record():
-    i = inst(Variant.TSWAP, (0, 1), (1, 0))
+@pytest.mark.parametrize("variant,kind", [
+    (Variant.TSWAP, KIND_SWAP),  # a swap that nobody answers
+    (Variant.TROT, KIND_EMPTY),
+    (Variant.TPERM, KIND_EMPTY),
+], ids=lambda x: getattr(x, "value", x))
+def test_token_move_into_empty_is_degenerate(variant, kind):
+    i = inst(variant, (0, 1), (1, 0))
     cols = step_legal(i, (0, 2), (0, 3))
-    assert cols == [Collision(KIND_EDGE, (1, 1), (2, 3), 0)]
+    assert cols == [Collision(kind, 0, 1, 3, 1, 2)]
     assert cols[0].degenerate
 
 
@@ -97,7 +104,8 @@ def test_trot_two_cycle_forbidden_three_cycle_ok():
     assert step_legal(i, (0, 1, 2), (1, 2, 0)) == []
     j = inst(Variant.TROT, (0, 1), (1, 0))
     cols = step_legal(j, (0, 1), (1, 0))
-    assert len(cols) == 1 and cols[0].kind == KIND_EDGE and cols[0].items == (0, 1)
+    assert cols == [Collision(KIND_ROT, 0, 0, 1, 1, 0)]
+    assert not cols[0].degenerate
 
 
 def test_tperm_allows_both_cycle_lengths():
@@ -121,9 +129,21 @@ def test_step_rejects_non_edges():
 
 
 def test_collision_sort_is_time_major():
-    a = Collision(KIND_EDGE, (0, 1), (1, 0), 0)
-    b = Collision(KIND_VERTEX, (0, 1), 2, 1)
+    a = Collision(KIND_SWAP, 0, 0, 0, 1, 1)
+    b = Collision(KIND_VERTEX, 1, 0, 2, 1)
     assert sorted([b, a], key=Collision.sort_key) == [a, b]
+    # within a time: lower item first, then vertex < occupancy < the
+    # movement-rule kinds, which share one rank, then the items
+    cols = [
+        Collision(KIND_ROT, 0, 1, 2, 2, 3),
+        Collision(KIND_EMPTY, 0, 1, 4, 1, 3),
+        Collision(KIND_VERTEX, 0, 1, 5, 2),
+        Collision(KIND_OCCUPANCY, 0, 1, 4, 2, 3),
+        Collision(KIND_VERTEX, 0, 0, 6, 3),
+    ]
+    assert sorted(cols, key=Collision.sort_key) == [
+        cols[4], cols[2], cols[3], cols[1], cols[0],
+    ]
 
 
 # --- validate ----------------------------------------------------------------
@@ -138,7 +158,7 @@ def test_validate_reports_all_collisions_sorted():
     p = make_plan([(0, 1, 1), (2, 1, 2)])  # both at vertex 1 at t=1
     cols = validate(i, p)
     assert [c.kind for c in cols] == [KIND_VERTEX]
-    assert cols[0].t == 1 and cols[0].where == 1
+    assert cols[0].t == 1 and cols[0].v == 1
 
 
 def test_validate_checks_structure():

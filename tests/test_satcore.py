@@ -275,6 +275,71 @@ def test_incremental_unit_after_model():
     assert isinstance(res, dict) and not res[picked]
 
 
+# --- clause database upkeep ---------------------------------------------------
+
+def watched_by_first_two(s):
+    """True iff every clause sits in exactly the watch lists of its first two
+    literals, and the lists hold nothing else."""
+    want = [[] for _ in s.watches]
+    for ci, clause in enumerate(s.clauses):
+        want[-clause[0]].append(ci)
+        want[-clause[1]].append(ci)
+    return [sorted(w) for w in s.watches] == want
+
+
+@pytest.mark.parametrize("seed,sat", [(1, True), (2, False)])
+def test_reduce_db_keeps_originals_and_drops_the_older_long_learned_half(seed, sat):
+    # a search on 90% of a random 3-SAT formula learns a few hundred
+    # clauses; the rest of the formula is added after the reduction
+    f = random_3sat(random.Random(seed), 120, 511)
+    cut = len(f.clauses) * 9 // 10
+    s = SatSolver(f.num_vars, f.clauses[:cut])
+    assert isinstance(s.solve(), dict)
+    assert s.n_learned >= 300
+    s._backtrack(0)
+    before = [(list(c), learned) for c, learned in zip(s.clauses, s.is_learned)]
+    long_learned = [ci for ci, (c, learned) in enumerate(before) if learned and len(c) > 3]
+    older_half = set(long_learned[:len(long_learned) // 2])
+    s._reduce_db()
+    assert [(list(c), learned) for c, learned in zip(s.clauses, s.is_learned)] == [
+        entry for ci, entry in enumerate(before) if ci not in older_half
+    ]
+    originals = [c for c, learned in before if not learned]
+    assert [c for c, learned in zip(s.clauses, s.is_learned) if not learned] == originals
+    learned_before = sum(learned for _, learned in before)
+    assert s.n_learned == sum(s.is_learned) == learned_before - len(older_half)
+    assert watched_by_first_two(s)
+    for clause in f.clauses[cut:]:
+        s.add_clause(clause)
+    res = s.solve()
+    assert isinstance(SatSolver(f.num_vars, f.clauses).solve(), dict) is sat
+    if sat:
+        assert isinstance(res, dict) and f.check_model(res)
+    else:
+        assert res == "UNSAT"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: php(5),
+    lambda: random_3sat(random.Random(1), 120, 511),
+], ids=["unsat", "sat"])
+def test_rescaled_activities_keep_the_answer(make):
+    f = make()
+    want = SatSolver(f.num_vars, f.clauses).solve()
+    s = SatSolver(f.num_vars, f.clauses)
+    s.var_inc = 1e99  # the first bump past 1e100 rescales
+    calls = []
+    rescale = s._rescale
+    s._rescale = lambda: (calls.append(1), rescale())
+    res = s.solve()
+    assert calls
+    assert max(s.activity) < 1e100
+    if want == "UNSAT":
+        assert res == "UNSAT"
+    else:
+        assert isinstance(res, dict) and f.check_model(res)
+
+
 # --- dimacs round trip --------------------------------------------------------
 
 def test_dimacs_round_trip():

@@ -90,8 +90,8 @@ def test_external_backend_hook():
 def test_clause_for_record_grounds_vertex_collision():
     inst = random_instance(make_grid(3, 3), Variant.MAPF, 2, 0)
     _, vm = encode_basic(inst, lower_bound(inst) + 1)
-    col = Collision(KIND_VERTEX, (0, 1), inst.starts[0], 0)
-    clause = clause_for_record(record_from_collision(inst, col), vm)
+    col = Collision(KIND_VERTEX, 0, 0, inst.starts[0], 1)
+    clause = clause_for_record(record_from_collision(col), vm)
     a = vm.x(0, inst.starts[0], 0)
     if vm.x(1, inst.starts[0], 0) is None:
         assert clause is None
