@@ -221,7 +221,8 @@ class SummaryCell:
     mean_xi: float | None
     mean_clauses: float | None
     mean_variables: float | None
-    clause_ratio: float | None  # mean smtcbs clauses / mean mddsat clauses
+    # mean smtcbs clauses / mean mddsat clauses, over the runs both solved
+    clause_ratio: float | None
 
 
 def summarize(rows: list[MetricsRow]) -> list[SummaryCell]:
@@ -230,9 +231,9 @@ def summarize(rows: list[MetricsRow]) -> list[SummaryCell]:
     for row in rows:
         cells.setdefault((row.family, row.variant, row.k, row.algorithm), []).append(row)
 
-    def mean_clauses_of(family, variant, k, algorithm):
-        group = [r for r in cells.get((family, variant, k, algorithm), ()) if r.solved]
-        return statistics.fmean(r.clauses for r in group) if group else None
+    def mean_clauses(group, ids):
+        picked = [r.clauses for r in group if r.instance_id in ids]
+        return statistics.fmean(picked) if picked else None
 
     out = []
     for key in sorted(cells):
@@ -241,10 +242,11 @@ def summarize(rows: list[MetricsRow]) -> list[SummaryCell]:
         solved = [r for r in group if r.solved]
         ratio = None
         if algorithm == "smtcbs":
-            lazy = mean_clauses_of(family, variant, k, "smtcbs")
-            eager = mean_clauses_of(family, variant, k, "mddsat")
-            if lazy and eager:
-                ratio = lazy / eager
+            eager = [r for r in cells.get((family, variant, k, "mddsat"), ()) if r.solved]
+            both = {r.instance_id for r in solved} & {r.instance_id for r in eager}
+            lazy_mean, eager_mean = mean_clauses(solved, both), mean_clauses(eager, both)
+            if lazy_mean and eager_mean:
+                ratio = lazy_mean / eager_mean
         out.append(SummaryCell(
             family, variant, k, algorithm, len(group),
             len(solved) / len(group),

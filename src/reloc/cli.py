@@ -25,7 +25,7 @@ import tempfile
 from . import bench
 from .graphs import build_graph, make_clique, make_grid, make_random, make_star
 from .relocation import Instance, Variant, validate
-from .satcore import to_dimacs
+from .satcore import SatError, to_dimacs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,7 +115,8 @@ def make_dimacs_backend(command: str):
 
     The command receives the CNF file path as its last argument and must
     print SATISFIABLE/UNSATISFIABLE (with or without the 's ' prefix) and,
-    when satisfiable, the model as 'v' lines or bare literal lines.
+    when satisfiable, the model as 'v' lines or bare literal lines. A solver
+    that cannot be launched or prints no status raises SatError.
     """
     argv = shlex.split(command)
     if not argv:
@@ -134,7 +135,7 @@ def make_dimacs_backend(command: str):
             except subprocess.TimeoutExpired:
                 return "TIMEOUT"
             except OSError as exc:
-                raise RuntimeError(
+                raise SatError(
                     f"failed to launch external solver {argv[0]!r}: {exc}"
                 ) from exc
             return _parse_solver_output(proc.stdout, formula.num_vars)
@@ -165,7 +166,7 @@ def _parse_solver_output(text: str, num_vars: int):
         except ValueError:
             continue  # banner or timing line
     if status != "SAT":
-        raise RuntimeError("external solver printed no recognizable status")
+        raise SatError("external solver printed no recognizable status")
     model = {v: False for v in range(1, num_vars + 1)}
     for lit in lits:
         if lit == 0:
@@ -260,7 +261,7 @@ def _cmd_solve(args) -> int:
 
     try:
         res = solve(inst, timeout=args.timeout, **options)
-    except ValueError as exc:  # the oracle's size caps
+    except (ValueError, SatError) as exc:  # the oracle's size caps, a failed backend
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     row = bench.MetricsRow.from_result(

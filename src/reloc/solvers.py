@@ -1,20 +1,24 @@
 """SAT-based optimal solvers: eager full encoding and lazy refinement.
 
-Both search the sum-of-costs axis: starting at the sum of single-item
-shortest settle times, each candidate xi is tested for a solution of cost
-<= xi, so the first satisfiable bound is optimal.
+Both are one bound loop: starting at the sum of single-item shortest settle
+times, each candidate xi is tested for a solution of cost <= xi, so the first
+satisfiable bound is optimal. They differ only in when collision clauses are
+posted.
 
-mdd_sat_solve tests each xi with the complete encoding. smt_cbs_solve tests
-each xi with the relaxed encoding plus the conflict clauses learned so far,
+mdd_sat_solve posts all of them up front: encode_full grounds every record of
+the variant's rule, and each bound is one one-shot SAT call whose plan must be
+collision-free. smt_cbs_solve posts one only after a plan breaks it: each
+bound starts from the relaxed encoding plus the records learned so far,
 validates satisfying assignments against the movement rules, and adds the
-clauses of all violated rules before re-solving; an unsatisfiable relaxation
+clauses of all violated rules before re-solving. An unsatisfiable relaxation
 is a proof that the full encoding is unsatisfiable too, so the bound can be
-raised. Conflict records persist across bounds and are re-grounded against
-the new variable layout.
+raised. Records persist across bounds and are re-grounded against the new
+variable layout. Both ground collisions through the encoder's one clause
+builder per record kind.
 
-Both drivers ground collisions through the encoder's one clause builder per
-record kind: encode_full grounds every record of the variant's rule before
-the search, smt_cbs_solve only the records of collisions it observed.
+A model whose plan costs more than its bound is not a model of the formula;
+it is rejected with satcore.SatError, so a faulty SAT backend never yields a
+false optimum.
 """
 
 from __future__ import annotations
@@ -43,98 +47,59 @@ from .result import (
 from . import satcore as satmod
 
 
-def _climb(inst: Instance, timeout, stats: SolveStats, test_bound) -> SolveResult:
-    """Raise the cost bound from the lower bound until test_bound(xi,
-    deadline) returns a plan; it may also return "UNSAT" or "TIMEOUT"."""
+def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
+                refine: bool) -> SolveResult:
+    """Raise the cost bound xi from the lower bound until the formula
+    encode(xi, records) yields a plan without collisions.
+
+    sat(formula, budget) answers each formula from scratch; with sat None one
+    incremental SatSolver per bound answers it across refinements. With refine
+    off every plan must be collision-free; with it on the records of a plan's
+    collisions are kept, their clauses added, and the bound solved again.
+    """
+    stats = SolveStats(algorithm=algorithm)
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     cap = search_cap(inst)
     if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
-    xi = lower_bound(inst)
-    while xi <= cap:
-        outcome = test_bound(xi, deadline)
-        if outcome == "TIMEOUT":
-            return finish(stats, t0, STATUS_TIMEOUT)
-        if outcome != "UNSAT":
-            return finish(stats, t0, STATUS_SOLVED, outcome)
-        xi += 1
-    return finish(stats, t0, STATUS_LIMIT)
-
-
-def _sat_call(stats: SolveStats, solve, deadline):
-    """solve(budget) timed into stats, or "TIMEOUT" when no time is left."""
-    budget = None if deadline is None else deadline - time.monotonic()
-    if budget is not None and budget <= 0:
-        return "TIMEOUT"
-    t1 = time.monotonic()
-    model = solve(budget)
-    stats.sat_time += time.monotonic() - t1
-    stats.sat_calls += 1
-    return model
-
-
-def mdd_sat_solve(inst: Instance, timeout: float | None = None,
-                  sat=None) -> SolveResult:
-    """Optimal solve by eager encoding of increasing cost bounds."""
-    sat = sat or satmod.solve
-    stats = SolveStats(algorithm="mddsat")
-
-    def test_bound(xi, deadline):
-        formula, vm = encode_full(inst, xi)
-        stats.clauses = len(formula.clauses)
-        stats.variables = formula.num_vars
-        model = _sat_call(stats, lambda budget: sat(formula, budget), deadline)
-        if not isinstance(model, dict):
-            return model
-        plan = extract_plan(vm, model)
-        residual = validate(inst, plan)
-        if residual:
-            raise RuntimeError(f"full encoding produced invalid plan: {residual[0]}")
-        return plan
-
-    return _climb(inst, timeout, stats, test_bound)
-
-
-def smt_cbs_solve(inst: Instance, timeout: float | None = None,
-                  sat=None) -> SolveResult:
-    """Optimal solve by lazy encoding with validation-driven refinement.
-
-    With the internal solver each bound keeps one incremental SatSolver
-    across refinements; an external sat callable re-solves the accumulated
-    formula from scratch after every refinement.
-    """
-    stats = SolveStats(algorithm="smtcbs")
     records: set[Collision] = set()
-
-    def test_bound(xi, deadline):
-        formula, vm = encode_basic(inst, xi, sorted(records))
+    for xi in range(lower_bound(inst), cap + 1):
+        formula, vm = encode(xi, records)
         stats.clauses = len(formula.clauses)
         stats.variables = formula.num_vars
-        # clause-level duplicate guard for this bound
-        emitted = {tuple(sorted(c)) for c in formula.clauses}
-        if len(emitted) != len(formula.clauses):
-            raise RuntimeError("duplicate clause in initial lazy encoding")
-        solver = None
-        if sat is None:
-            solver = satmod.SatSolver(formula.num_vars, formula.clauses)
-
-        def solve(budget):
+        if refine:
+            # clause-level duplicate guard for this bound
+            emitted = {tuple(sorted(c)) for c in formula.clauses}
+            if len(emitted) != len(formula.clauses):
+                raise RuntimeError("duplicate clause in initial lazy encoding")
+        solver = satmod.SatSolver(formula.num_vars, formula.clauses) if sat is None else None
+        while True:
+            budget = None if deadline is None else deadline - time.monotonic()
+            if budget is not None and budget <= 0:
+                return finish(stats, t0, STATUS_TIMEOUT)
+            t1 = time.monotonic()
             # no model replay for the internal solver: satisfying assignments
             # are checked by plan extraction and validation
-            return sat(formula, budget) if solver is None else solver.solve(deadline)
-
-        while True:
-            model = _sat_call(stats, solve, deadline)
-            if not isinstance(model, dict):
-                return model
+            model = sat(formula, budget) if solver is None else solver.solve(deadline)
+            stats.sat_time += time.monotonic() - t1
+            stats.sat_calls += 1
+            if model == "TIMEOUT":
+                return finish(stats, t0, STATUS_TIMEOUT)
+            if model == "UNSAT":
+                break
             plan = extract_plan(vm, model)
+            if plan.cost > xi:
+                raise satmod.SatError(
+                    f"SAT backend returned a plan of cost {plan.cost} for bound {xi}"
+                )
             collisions = validate(inst, plan)
             if not collisions:
-                return plan
-            new_recs = sorted({record_from_collision(c) for c in collisions})
+                return finish(stats, t0, STATUS_SOLVED, plan)
+            if not refine:
+                raise RuntimeError(f"full encoding produced invalid plan: {collisions[0]}")
             added = 0
-            for rec in new_recs:
+            for rec in sorted({record_from_collision(c) for c in collisions}):
                 records.add(rec)
                 clause = clause_for_record(rec, vm)
                 if clause is None:
@@ -157,5 +122,27 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
                 )
             stats.refinements += added
             stats.clauses = len(formula.clauses)
+        # free this bound's formula, solver and guard before the next is encoded
+        formula = vm = solver = emitted = None
+    return finish(stats, t0, STATUS_LIMIT)
 
-    return _climb(inst, timeout, stats, test_bound)
+
+def mdd_sat_solve(inst: Instance, timeout: float | None = None,
+                  sat=None) -> SolveResult:
+    """Optimal solve by eager encoding of increasing cost bounds."""
+    return _bound_loop(inst, timeout, "mddsat",
+                       lambda xi, records: encode_full(inst, xi),
+                       sat or satmod.solve, refine=False)
+
+
+def smt_cbs_solve(inst: Instance, timeout: float | None = None,
+                  sat=None) -> SolveResult:
+    """Optimal solve by lazy encoding with validation-driven refinement.
+
+    With the internal solver each bound keeps one incremental SatSolver
+    across refinements; an external sat callable re-solves the accumulated
+    formula from scratch after every refinement.
+    """
+    return _bound_loop(inst, timeout, "smtcbs",
+                       lambda xi, records: encode_basic(inst, xi, sorted(records)),
+                       sat, refine=True)

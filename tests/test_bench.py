@@ -84,6 +84,23 @@ def test_summarize_clause_ratio_pairs_lazy_with_eager():
     assert cells["smtcbs"].clause_ratio == 0.5
 
 
+def test_summarize_clause_ratio_is_over_co_solved_runs():
+    # each driver solves one run the other does not; only s0 is paired
+    rows = [
+        row(algorithm="mddsat", instance_id="s0", clauses=200),
+        row(algorithm="mddsat", instance_id="s1", clauses=1000),
+        row(algorithm="mddsat", instance_id="s2", solved=False, status="timeout", xi=None),
+        row(algorithm="smtcbs", instance_id="s0", clauses=100),
+        row(algorithm="smtcbs", instance_id="s1", solved=False, status="timeout", xi=None),
+        row(algorithm="smtcbs", instance_id="s2", clauses=10),
+    ]
+    cells = {c.algorithm: c for c in summarize(rows)}
+    assert cells["smtcbs"].clause_ratio == 0.5
+    assert cells["smtcbs"].mean_clauses == 55.0  # own means stay per driver
+    none_shared = [r for r in rows if r.instance_id != "s0"]
+    assert {c.algorithm: c for c in summarize(none_shared)}["smtcbs"].clause_ratio is None
+
+
 def test_summarize_order_is_input_permutation_invariant():
     rows = [row(algorithm=a, k=k, seed=s)
             for a in ("cbs", "mddsat", "smtcbs") for k in (2, 3) for s in range(3)]

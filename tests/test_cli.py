@@ -19,7 +19,7 @@ from reloc.cli import (
     serialize_instance,
 )
 from reloc.relocation import Instance, Variant, make_plan, validate
-from reloc.satcore import CnfFormula
+from reloc.satcore import CnfFormula, SatError
 
 SWAP_TEXT = textwrap.dedent("""\
     # two tokens on one edge
@@ -166,7 +166,7 @@ def test_parse_solver_output_conventions():
     m = _parse_solver_output("SAT\n1 -2 3 0\n", 3)
     assert m == {1: True, 2: False, 3: True}
     assert _parse_solver_output("s UNSATISFIABLE\n", 2) == "UNSAT"
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SatError):
         _parse_solver_output("c nothing useful\n", 2)
 
 
@@ -232,10 +232,24 @@ def test_solve_with_external_backend(tmp_path, capsys):
     """)
     path = tmp_path / "i.txt"
     path.write_text(SWAP_TEXT)
-    code = main(["solve", "--algo", "smtcbs", "--in", str(path),
-                 "--sat", f"dimacs:{sys.executable} {solver}"])
-    assert code == EXIT_OK
-    assert capsys.readouterr().out.strip().endswith("xi = 2")
+    for algo in ("mddsat", "smtcbs"):
+        code = main(["solve", "--algo", algo, "--in", str(path),
+                     "--sat", f"dimacs:{sys.executable} {solver}"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("xi = 2")
+
+
+@pytest.mark.parametrize("algo", ["mddsat", "smtcbs"])
+def test_failed_external_solver_exits_with_a_message(tmp_path, capsys, algo):
+    path = write(tmp_path, "i.txt", SWAP_TEXT)
+    mute = make_stub_solver(tmp_path, "print('c no status here')\n")
+    for command, fragment in ((tmp_path / "no" / "solver", "failed to launch"),
+                              (f"{sys.executable} {mute}", "no recognizable status")):
+        assert main(["solve", "--algo", algo, "--in", path,
+                     "--sat", f"dimacs:{command}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.splitlines()) == 1
 
 
 def test_bad_sat_argument(tmp_path, capsys):

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from reloc import satcore
+from reloc import satcore, solvers
 from reloc.bench import suite_instance
 from reloc.encoder import clause_for_record, encode_basic, lower_bound, record_from_collision
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
@@ -11,9 +11,11 @@ from reloc.relocation import (
     Collision,
     Instance,
     KIND_VERTEX,
+    TOKEN_VARIANTS,
     Variant,
     plan_cost,
     random_instance,
+    random_permutation_instance,
     validate,
 )
 from reloc.result import STATUS_SOLVED, STATUS_UNSOLVABLE
@@ -21,6 +23,8 @@ from reloc.solvers import mdd_sat_solve, smt_cbs_solve
 
 EDGE2 = build_graph(2, [(0, 1)])
 PATH3 = build_graph(3, [(0, 1), (1, 2)])
+# two items cross at a fork, so every plan of cost LB collides
+CROSSING = Instance(build_graph(4, [(0, 1), (1, 2), (1, 3)]), Variant.MAPF, (0, 2), (2, 0))
 
 SOLVERS = [mdd_sat_solve, smt_cbs_solve]
 
@@ -56,21 +60,24 @@ def test_unsolvable_mapf(solver):
 
 
 def test_lazy_never_needs_more_clauses_than_eager():
-    for seed in range(6):
-        inst = random_instance(make_grid(3, 3), Variant.MAPF, 3, seed)
-        eager = mdd_sat_solve(inst, timeout=30)
-        lazy = smt_cbs_solve(inst, timeout=30)
-        assert eager.status == lazy.status
-        if eager.status == STATUS_SOLVED:
-            assert lazy.stats.clauses <= eager.stats.clauses
+    for variant in Variant:
+        make = random_permutation_instance if variant in TOKEN_VARIANTS else random_instance
+        for seed in range(6):
+            inst = make(make_grid(3, 3), variant, 3, seed)
+            eager = mdd_sat_solve(inst, timeout=30)
+            lazy = smt_cbs_solve(inst, timeout=30)
+            assert eager.status == lazy.status, inst
+            if eager.status == STATUS_SOLVED:
+                assert lazy.stats.clauses <= eager.stats.clauses, inst
 
 
 def test_non_incremental_mode_equivalent():
-    for seed in range(5):
-        inst = random_instance(make_grid(3, 3), Variant.TPERM, 3, seed)
-        a = smt_cbs_solve(inst, timeout=30)
-        b = smt_cbs_solve(inst, timeout=30, sat=satcore.solve)
-        assert a.status == b.status and a.xi == b.xi
+    for solver in SOLVERS:
+        for seed in range(5):
+            inst = random_instance(make_grid(3, 3), Variant.TPERM, 3, seed)
+            a = solver(inst, timeout=30)
+            b = solver(inst, timeout=30, sat=satcore.solve)
+            assert a.status == b.status and a.xi == b.xi
 
 
 def test_external_backend_hook():
@@ -128,3 +135,44 @@ def test_timeout_comes_back_within_the_budget_on_8x8(solver):
     elapsed = time.monotonic() - t0
     assert res.status == "timeout"
     assert elapsed <= 3 + 1.5
+
+
+# --- the bound loop's guards ---------------------------------------------------
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_plan_above_its_bound_is_rejected(solver, monkeypatch):
+    # a faulty backend: it solves each formula without the unsettled flags and
+    # the cost counter, so its models may cost more than the bound they answer
+    cost_vars = {}
+    for name in ("encode_full", "encode_basic"):
+        def encode(*args, real=getattr(solvers, name)):
+            formula, vm = real(*args)
+            cost_vars[formula] = min(vm.unsettled_vars(), default=formula.num_vars + 1)
+            return formula, vm
+        monkeypatch.setattr(solvers, name, encode)
+
+    def costless(formula, budget):
+        first = cost_vars[formula]
+        relaxed = satcore.CnfFormula()
+        relaxed.num_vars = formula.num_vars
+        relaxed.clauses = [c for c in formula.clauses if all(abs(x) < first for x in c)]
+        return satcore.solve(relaxed, budget)
+
+    inst = random_instance(make_grid(3, 3), Variant.MAPF, 3, 0)
+    assert lower_bound(inst) == 4 and oracle_solve(inst).xi == 6
+    with pytest.raises(satcore.SatError, match="cost"):
+        solver(inst, timeout=30, sat=costless)
+
+
+def test_eager_never_refines(monkeypatch):
+    # without its rule clauses the eager formula admits colliding plans,
+    # which the eager driver must report instead of refining
+    monkeypatch.setattr(solvers, "encode_full", encode_basic)
+    with pytest.raises(RuntimeError, match="full encoding produced invalid plan"):
+        mdd_sat_solve(CROSSING, timeout=30)
+
+
+def test_lazy_refinement_that_adds_nothing_stalls(monkeypatch):
+    monkeypatch.setattr(solvers, "clause_for_record", lambda rec, vm: None)
+    with pytest.raises(RuntimeError, match="refinement stalled"):
+        smt_cbs_solve(CROSSING, timeout=30)
