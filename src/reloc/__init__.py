@@ -29,7 +29,7 @@ from .relocation import (
     step_legal,
     validate,
 )
-from .pathfinder import Constraint, ConstraintSet, constrained_shortest_path
+from .pathfinder import constrained_shortest_path
 from .satcore import CnfFormula, SatSolver, from_dimacs, solve, to_dimacs
 from .encoder import (
     Mdd,
@@ -51,7 +51,7 @@ __all__ = [
     "make_clique", "make_grid", "make_random", "make_star",
     "Collision", "Instance", "Plan", "Variant", "make_plan", "plan_cost",
     "random_instance", "random_permutation_instance", "step_legal", "validate",
-    "Constraint", "ConstraintSet", "constrained_shortest_path",
+    "constrained_shortest_path",
     "CnfFormula", "SatSolver", "from_dimacs", "solve", "to_dimacs",
     "Mdd", "VarMap", "build_mdd", "encode_basic",
     "encode_full", "extract_plan", "lower_bound", "makespan_bound",

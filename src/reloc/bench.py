@@ -117,12 +117,8 @@ def make_family(family: str, seed: int = 0) -> Graph:
         return make_grid(3, 3)
     if family == "star8":
         return make_star(8)
-    if family == "star16":
-        return make_star(16)
     if family == "clique5":
         return make_clique(5)
-    if family == "clique16":
-        return make_clique(16)
     if family == "rand8":
         return make_random(8, 0.2, 1000 + seed)
     raise ValueError(f"unknown graph family {family!r}")

@@ -1,17 +1,18 @@
 """Conflict-based search for optimal sum-of-costs relocation.
 
-Two-level search: the low level plans each item independently under a set of
-vertex/edge prohibitions; the high level best-first searches over constraint
-sets, splitting on the first collision of the joint plan. The branching rule
-is chosen by the collision's kind alone, and keeps optimality because every
-solution violates at least one child constraint of the chosen collision:
+Two-level search: the low level plans each item independently under its
+bans, a set of banned states (v, t) and a set of banned moves (u, v, t); the
+high level best-first searches over the items' bans, splitting on the first
+collision of the joint plan. Each child bans one more state or move of one
+item. The branching rule is chosen by the collision's kind alone, and keeps
+optimality because every solution breaks at least one child's ban:
 
-  vertex    (shared vertex)       -> forbid the vertex at that time for
+  vertex    (shared vertex)       -> ban the vertex at that time for
                                      either item
-  occupancy (MAPF occupied target) -> forbid the mover's arrival or the
+  occupancy (MAPF occupied target) -> ban the mover's arrival or the
                                      occupant's stay
-  rot       (TROT head-on swap)   -> forbid either traversal of the edge
-  swap      (TSWAP unreciprocated -> forbid the traversal, or forbid the
+  rot       (TROT head-on swap)   -> ban either traversal of the edge
+  swap      (TSWAP unreciprocated -> ban the traversal, or ban the
             traversal)               would-be partner's actual action at that
                                      time (any solution containing the
                                      traversal swaps the partner back, which
@@ -27,8 +28,8 @@ Each CT node does only the work the split uses. Conflict detection
 (`joint_collisions`) walks the joint plan step by step through
 `relocation.step_collisions` and stops at the first step after which no
 collision can sort before the best one found; the low level
-(`pathfinder.constrained_shortest_path`) reads the item's constraints once
-per call. The tree is the same, node for node, as with a full validation
+(`pathfinder.constrained_shortest_path`) reads the item's ban sets as the
+CT node keeps them, a pair of frozensets per item. The tree is the same, node for node, as with a full validation
 of every joint plan.
 """
 
@@ -41,13 +42,7 @@ from itertools import pairwise
 
 from .encoder import lower_bound
 from .graphs import INF
-from .pathfinder import (
-    EDGE,
-    VERTEX,
-    Constraint,
-    ConstraintSet,
-    constrained_shortest_path,
-)
+from .pathfinder import constrained_shortest_path
 from .relocation import (
     Collision,
     Instance,
@@ -142,45 +137,33 @@ def joint_collisions(inst: Instance, padded) -> list[Collision]:
     return found[:found.index(best) + 1]
 
 
-def _branch_constraints(col: Collision, padded) -> list[Constraint]:
-    """The child constraints for one non-degenerate collision."""
+def _branch_bans(col: Collision, padded):
+    """The (item, ban) of each child for one non-degenerate collision; a ban
+    is a state (v, t) or a move (u, v, t)."""
     t, i, v, j, u = col.t, col.i, col.v, col.j, col.u
     if col.kind == KIND_VERTEX:
-        return [
-            Constraint(i, VERTEX, t, v),
-            Constraint(j, VERTEX, t, v),
-        ]
+        return [(i, (v, t)), (j, (v, t))]
     if col.kind == KIND_OCCUPANCY:
-        return [
-            Constraint(i, VERTEX, t + 1, v),
-            Constraint(j, VERTEX, t, v),
-        ]
+        return [(i, (v, t + 1)), (j, (v, t))]
     if col.kind == KIND_ROT:
-        return [
-            Constraint(i, EDGE, t, v, u=u),
-            Constraint(j, EDGE, t, u, u=v),
-        ]
+        return [(i, (u, v, t)), (j, (v, u, t))]
     # swap: partner j sits at v and currently does w = padded[j][t+1]; any
     # solution keeping i's traversal needs j to do v->u instead.
-    w = padded[j][t + 1]
-    return [
-        Constraint(i, EDGE, t, v, u=u),
-        Constraint(j, EDGE, t, w, u=v),
-    ]
+    return [(i, (u, v, t)), (j, (v, padded[j][t + 1], t))]
 
 
 @dataclass
 class CTNode:
-    constraints: dict[int, ConstraintSet]
+    bans: tuple  # per item: (banned states, banned moves), two frozensets
     paths: tuple[tuple[int, ...], ...]
     cost: int
 
 
-def _replan(inst, adj, dist, item, cs: ConstraintSet):
-    maxt = max((c.t for c in cs), default=-1)
+def _replan(inst, adj, dist, item, states, moves):
+    maxt = max([t for _, t in states] + [t for _, _, t in moves], default=-1)
     horizon = max(maxt + 1 + inst.graph.n, dist(inst.starts[item], inst.goals[item]))
     return constrained_shortest_path(
-        adj, dist, item, inst.starts[item], inst.goals[item], cs, horizon
+        adj, dist, inst.starts[item], inst.goals[item], states, moves, horizon
     )
 
 
@@ -194,14 +177,14 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
 
     adj = effective_adjacency(inst)
     dist = effective_distances(inst)
-    empty = ConstraintSet()
+    empty = frozenset()
     root_paths = []
     for i in range(inst.k):
-        p = _replan(inst, adj, dist, i, empty)
+        p = _replan(inst, adj, dist, i, empty, empty)
         assert p is not None  # lower_bound is finite
         root_paths.append(tuple(p))
-    root = CTNode({i: empty for i in range(inst.k)}, tuple(root_paths),
-                 sum(len(p) - 1 for p in root_paths))
+    root = CTNode(((empty, empty),) * inst.k, tuple(root_paths),
+                  sum(len(p) - 1 for p in root_paths))
 
     counter = 0
     capped = False
@@ -222,14 +205,16 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
                 # unreachable by the pigeonhole argument above
                 raise RuntimeError("only degenerate collisions in joint plan")
             return finish(stats, t0, STATUS_SOLVED, make_plan(padded))
-        for c in _branch_constraints(pick, padded):
-            item = c.item
-            cs = node.constraints[item].with_constraint(c)
-            p = _replan(inst, adj, dist, item, cs)
+        for item, ban in _branch_bans(pick, padded):
+            states, moves = node.bans[item]
+            if len(ban) == 2:
+                states = states | {ban}
+            else:
+                moves = moves | {ban}
+            p = _replan(inst, adj, dist, item, states, moves)
             if p is None:
                 continue
-            child_constraints = dict(node.constraints)
-            child_constraints[item] = cs
+            child_bans = node.bans[:item] + ((states, moves),) + node.bans[item + 1:]
             child_paths = node.paths[:item] + (tuple(p),) + node.paths[item + 1:]
             child_cost = node.cost - (len(node.paths[item]) - 1) + (len(p) - 1)
             if child_cost > cap:
@@ -238,7 +223,7 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
             counter += 1
             heapq.heappush(
                 open_heap,
-                (child_cost, counter, CTNode(child_constraints, child_paths, child_cost)),
+                (child_cost, counter, CTNode(child_bans, child_paths, child_cost)),
             )
     # an empty open list certifies unsolvability; hitting the cap does not
     return finish(stats, t0, STATUS_LIMIT if capped else STATUS_UNSOLVABLE)

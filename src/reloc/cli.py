@@ -331,6 +331,14 @@ def _budget(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A --seeds value: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive count: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="reloc",
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark suite")
     b.add_argument("--suite", default="paper-small",
                    choices=sorted(bench.SUITES))
-    b.add_argument("--seeds", type=int, default=10)
+    b.add_argument("--seeds", type=_count, default=10)
     b.add_argument("--timeout", type=_budget, default=60.0)
     b.add_argument("--algos", default="cbs,mddsat,smtcbs")
     b.add_argument("--out", required=True, help="per-run CSV path")

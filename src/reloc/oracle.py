@@ -29,6 +29,7 @@ from .result import (
 
 DEFAULT_VERTEX_CAP = 10
 DEFAULT_ITEM_CAP = 5
+STATE_CAP = 2_000_000  # configurations held before a search gives up
 
 
 def _mapf_steps(inst: Instance, pos, movable):
@@ -179,7 +180,7 @@ def _check_caps(inst: Instance, vertex_cap, item_cap):
 
 
 def is_solvable(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
-                item_cap=DEFAULT_ITEM_CAP, state_cap=2_000_000) -> bool:
+                item_cap=DEFAULT_ITEM_CAP) -> bool:
     """Reachability of the goal configuration, ignoring costs."""
     _check_caps(inst, vertex_cap, item_cap)
     goal = inst.goals
@@ -190,7 +191,7 @@ def is_solvable(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
     frontier = [start]
     movable = list(range(inst.k))
     while frontier:
-        if len(seen) > state_cap:
+        if len(seen) > STATE_CAP:
             raise MemoryError("state cap exceeded in reachability check")
         nxt_frontier = []
         for pos in frontier:
@@ -205,7 +206,7 @@ def is_solvable(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
 
 
 def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
-                 item_cap=DEFAULT_ITEM_CAP, state_cap=2_000_000) -> SolveResult:
+                 item_cap=DEFAULT_ITEM_CAP) -> SolveResult:
     """Minimum sum-of-costs by Dijkstra over (positions, settled-mask)."""
     t0 = time.monotonic()
     stats = SolveStats(algorithm="oracle")
@@ -227,7 +228,7 @@ def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
         if pos == goals:
             best_goal = state
             break
-        if len(dist) > state_cap:
+        if len(dist) > STATE_CAP:
             return finish(stats, t0, STATUS_LIMIT)
         succs = []
         # settle any one unsettled item already at its goal (free)

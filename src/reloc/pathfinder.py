@@ -1,85 +1,34 @@
-"""Time-indexed single-item shortest path under vertex and edge constraints.
+"""Time-indexed single-item shortest path under banned states and moves.
 
 This is the CBS low level: A* over (vertex, time) states with heuristic
-dist(v, goal). An item finishes by settling at its goal, i.e. resting there
-through the horizon without violating any later constraint on the goal
-vertex. Trailing goal-waits are free, so the path cost equals the settle
-time.
+dist(v, goal). The item's prohibitions are two plain sets, as CBS keeps them
+per item: banned states {(v, t)} and banned moves {(u, v, t)}, a wait being
+the move (v, v, t). An item finishes by settling at its goal, i.e. resting
+there through the horizon without entering a banned state or taking a
+banned move. Trailing goal-waits are free, so the path cost equals the
+settle time.
 
-The search reads everything it consults per state from plain containers
-built once per call: the item's banned states and moves (`ConstraintSet.bans`)
-and the goal's column of the distance table. A state (v, t) is keyed as the
-integer t * n + v; heap entries stay (f, t, v), so ties break as before.
+Per state the search reads only plain containers: the two ban sets and the
+goal's column of the distance table. A state (v, t) is keyed as the integer
+t * n + v; heap entries are (f, t, v), so ties break on time, then vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graphs import INF
 
-VERTEX = "vertex"
-EDGE = "edge"
 
-
-@dataclass(frozen=True)
-class Constraint:
-    """Prohibition for one item: a vertex at a time, or a directed edge
-    (u, v) departed at time t. Wait actions are edge constraints with u == v."""
-
-    item: int
-    kind: str
-    t: int
-    v: int
-    u: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (VERTEX, EDGE):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if (self.kind == EDGE) != (self.u is not None):
-            raise ValueError("edge constraints need u, vertex constraints must not set it")
-        if self.t < 0:
-            raise ValueError("constraint time must be non-negative")
-
-
-class ConstraintSet:
-    """Immutable collection of constraints; duplicates collapse."""
-
-    def __init__(self, constraints=()):
-        self._all = frozenset(constraints)
-
-    def __len__(self):
-        return len(self._all)
-
-    def __contains__(self, c: Constraint) -> bool:
-        return c in self._all
-
-    def __iter__(self):
-        return iter(self._all)
-
-    def with_constraint(self, c: Constraint) -> "ConstraintSet":
-        return ConstraintSet(self._all | {c})
-
-    def bans(self, item: int):
-        """The item's banned states {(v, t)} and moves {(u, v, t)}."""
-        states, moves = set(), set()
-        for c in self._all:
-            if c.item == item:
-                if c.u is None:
-                    states.add((c.v, c.t))
-                else:
-                    moves.add((c.u, c.v, c.t))
-        return states, moves
-
-
-def constrained_shortest_path(adj, dist, item: int, start: int, goal: int,
-                              cs: ConstraintSet, horizon: int):
+def constrained_shortest_path(adj, dist, start: int, goal: int,
+                              states, moves, horizon: int):
     """Minimum-settle-time path for one item, or None when no path fits.
 
     adj: per-vertex neighbor lists (already restricted for token variants).
     dist: DistTable over the same (undirected) adjacency, used as the A*
     heuristic.
+    states, moves: the item's banned states {(v, t)} and banned moves
+    {(u, v, t)}, the move from u to v departing at time t.
     Ties break on (smaller time, smaller vertex id) so runs are reproducible.
     """
     n = len(adj)
@@ -87,7 +36,6 @@ def constrained_shortest_path(adj, dist, item: int, start: int, goal: int,
     h0 = to_goal[start]
     if h0 >= INF:
         return None
-    states, moves = cs.bans(item)
     # the earliest time from which the item may rest at its goal forever
     barrier = max(
         [t + 1 for v, t in states if v == goal]

@@ -6,6 +6,7 @@ import pytest
 from reloc.cbs import (
     STATUS_SOLVED,
     STATUS_UNSOLVABLE,
+    _branch_bans,
     cbs_solve,
     cost_cutoff,
     joint_collisions,
@@ -16,6 +17,7 @@ from reloc.bench import suite_instance
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
 from reloc.relocation import (
+    Collision,
     Instance,
     Variant,
     plan_collisions,
@@ -38,6 +40,23 @@ def test_padded_configs_extends_short_paths():
 def test_joint_collisions_clean_plan_is_empty():
     i = Instance(EDGE2, Variant.TSWAP, (0, 1), (1, 0))
     assert joint_collisions(i, [(0, 1), (1, 0)]) == []
+
+
+# (kind, the two children) for the collision (kind, t=3, i=1, v=5, j=4, u=6);
+# in the joint plan below item 4 moves 43 -> 44 at t=3, so w = 44
+BRANCHES = [
+    ("vertex", [(1, (5, 3)), (4, (5, 3))]),
+    ("occupancy", [(1, (5, 4)), (4, (5, 3))]),
+    ("rot", [(1, (6, 5, 3)), (4, (5, 6, 3))]),
+    ("swap", [(1, (6, 5, 3)), (4, (5, 44, 3))]),
+]
+
+
+@pytest.mark.parametrize("kind,children", BRANCHES, ids=[k for k, _ in BRANCHES])
+def test_branch_bans_one_state_or_move_per_child(kind, children):
+    padded = [tuple(range(10 * x, 10 * x + 6)) for x in range(5)]
+    u = None if kind == "vertex" else 6
+    assert _branch_bans(Collision(kind, 3, 1, 5, 4, u), padded) == children
 
 
 def _random_walks(g, rng, starts, steps):

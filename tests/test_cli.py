@@ -317,3 +317,17 @@ def test_sat_backend_is_refused_by_solvers_without_sat(tmp_path, capsys, algo):
     assert main(["solve", "--algo", algo, "--in", path,
                  "--sat", "dimacs:minisat"]) == EXIT_USAGE
     assert "does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_rejects_seeds_that_are_not_a_positive_count(tmp_path, capsys,
+                                                           monkeypatch, seeds):
+    runs = []
+    monkeypatch.setattr(bench, "run_suite", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "runs.csv"
+    assert main(["bench", "--suite", "desk", "--seeds", seeds,
+                 "--algos", "cbs", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"reloc bench: error: argument --seeds: not a positive count: {seeds!r}"]
+    assert runs == [] and not out.exists()

@@ -1,56 +1,30 @@
-import pytest
-
 from reloc.graphs import INF, all_pairs_distances, make_grid, build_graph
-from reloc.pathfinder import (
-    EDGE,
-    VERTEX,
-    Constraint,
-    ConstraintSet,
-    constrained_shortest_path,
-)
+from reloc.pathfinder import constrained_shortest_path
 
 GRID = make_grid(3, 3)
 DT = all_pairs_distances(GRID)
+NONE = frozenset()
 
 
-def sp(item, start, goal, constraints=(), horizon=30, g=GRID, dt=DT):
-    cs = ConstraintSet(constraints)
-    return constrained_shortest_path(g.adj, dt, item, start, goal, cs, horizon)
+def split(bans):
+    """Banned states (v, t) and moves (u, v, t) out of one mixed list."""
+    return (frozenset(b for b in bans if len(b) == 2),
+            frozenset(b for b in bans if len(b) == 3))
 
 
-def test_constraint_validation():
-    with pytest.raises(ValueError):
-        Constraint(0, "diagonal", 1, 2)
-    with pytest.raises(ValueError):
-        Constraint(0, VERTEX, 1, 2, u=3)
-    with pytest.raises(ValueError):
-        Constraint(0, EDGE, 1, 2)
-    with pytest.raises(ValueError):
-        Constraint(0, VERTEX, -1, 2)
-    # wait prohibitions are edge constraints with u == v
-    Constraint(0, EDGE, 1, 2, u=2)
-
-
-def test_constraint_set_indexing_and_dedup():
-    c = Constraint(0, VERTEX, 3, 4)
-    cs = ConstraintSet([c]).with_constraint(c)
-    assert len(cs) == 1
-    assert cs.bans(0) == ({(4, 3)}, set())
-    assert cs.bans(1) == (set(), set())
-    cs2 = cs.with_constraint(Constraint(0, EDGE, 2, 5, u=4))
-    assert cs2.bans(0) == ({(4, 3)}, {(4, 5, 2)})
-    assert len(cs) == 1 and len(cs2) == 2
+def sp(start, goal, bans=(), horizon=30, g=GRID, dt=DT):
+    states, moves = split(bans)
+    return constrained_shortest_path(g.adj, dt, start, goal, states, moves, horizon)
 
 
 def test_unconstrained_path_is_geodesic():
-    p = sp(0, 0, 8)
+    p = sp(0, 8)
     assert p is not None and len(p) == 5 and p[0] == 0 and p[-1] == 8
 
 
 def test_vertex_constraint_forces_detour_or_wait():
-    block = [Constraint(0, VERTEX, t, 1) for t in range(1, 4)] + \
-            [Constraint(0, VERTEX, t, 3) for t in range(1, 4)]
-    p = sp(0, 0, 8, block)
+    block = [(1, t) for t in range(1, 4)] + [(3, t) for t in range(1, 4)]
+    p = sp(0, 8, block)
     assert p is not None
     # both exits from the corner are blocked through t=3: wait three steps,
     # then take the geodesic
@@ -60,42 +34,41 @@ def test_vertex_constraint_forces_detour_or_wait():
 
 
 def test_edge_constraint_blocks_departure_time_only():
-    p = sp(0, 0, 2, [Constraint(0, EDGE, 0, 1, u=0)])
+    p = sp(0, 2, [(0, 1, 0)])
     assert p is not None and len(p) - 1 == 3  # wait, then go
 
 
 def test_wait_arc_constraint():
     # forbidden to wait at the start at t=0; the geodesic is still fine
-    p = sp(0, 0, 2, [Constraint(0, EDGE, 0, 0, u=0)])
+    p = sp(0, 2, [(0, 0, 0)])
     assert p == [0, 1, 2]
 
 
 def test_settle_barrier_delays_arrival():
     # goal blocked at t=4: a 4-step path must stretch to settle at t>=5
-    block = [Constraint(0, VERTEX, 4, 8)]
-    p = sp(0, 0, 8, block)
+    p = sp(0, 8, [(8, 4)])
     assert p is not None and len(p) - 1 == 5 and p[-1] == 8 and p[-2] != 8
 
 
 def test_goal_wait_prohibition_also_raises_barrier():
-    p = sp(0, 0, 2, [Constraint(0, EDGE, 3, 2, u=2)])
+    p = sp(0, 2, [(2, 2, 3)])
     # resting at the goal across t=3 is forbidden, so settle at t>=4
     assert p is not None and len(p) - 1 == 4
 
 
 def test_start_constraint_at_time_zero_unsolvable():
-    assert sp(0, 0, 8, [Constraint(0, VERTEX, 0, 0)]) is None
+    assert sp(0, 8, [(0, 0)]) is None
 
 
 def test_horizon_cuts_off():
-    assert sp(0, 0, 8, horizon=3) is None
-    assert sp(0, 0, 8, horizon=4) is not None
+    assert sp(0, 8, horizon=3) is None
+    assert sp(0, 8, horizon=4) is not None
 
 
 def test_unreachable_goal():
     g = build_graph(3, [(0, 1)])
     dt = all_pairs_distances(g)
-    assert constrained_shortest_path(g.adj, dt, 0, 0, 2, ConstraintSet(), 10) is None
+    assert constrained_shortest_path(g.adj, dt, 0, 2, NONE, NONE, 10) is None
 
 
 def test_restricted_adjacency_is_respected():
@@ -107,8 +80,8 @@ def test_restricted_adjacency_is_respected():
     # adjacency should never be exceeded; use a matching distance table
     from reloc.graphs import bfs_distances, DistTable
     dtr = DistTable(tuple(tuple(bfs_distances(3, adj, s)) for s in range(3)))
-    assert constrained_shortest_path(adj, dtr, 0, 1, 2, ConstraintSet(), 10) is None
-    assert constrained_shortest_path(adj, dtr, 0, 1, 0, ConstraintSet(), 10) == [1, 0]
+    assert constrained_shortest_path(adj, dtr, 1, 2, NONE, NONE, 10) is None
+    assert constrained_shortest_path(adj, dtr, 1, 0, NONE, NONE, 10) == [1, 0]
 
 
 def test_cost_monotone_in_constraints():
@@ -116,13 +89,13 @@ def test_cost_monotone_in_constraints():
     rng = random.Random(5)
     for _ in range(30):
         cons = []
-        base = len(sp(0, 0, 8)) - 1
+        base = len(sp(0, 8)) - 1
         prev = base
         for _ in range(6):
             t = rng.randint(1, 8)
             v = rng.randrange(9)
-            cons.append(Constraint(0, VERTEX, t, v))
-            p = sp(0, 0, 8, cons)
+            cons.append((v, t))
+            p = sp(0, 8, cons)
             if p is None:
                 break
             cur = len(p) - 1
@@ -130,18 +103,22 @@ def test_cost_monotone_in_constraints():
             prev = max(prev, cur)
 
 
-def reference_shortest_path(adj, dist, item, start, goal, cs, horizon):
-    """The low level as first written: constraint lookups per successor."""
+def reference_shortest_path(adj, dist, start, goal, states, moves, horizon):
+    """The low level as first written: (vertex, time) states, ban lookups
+    per successor."""
     import heapq
 
     h0 = dist(start, goal)
     if h0 >= INF:
         return None
     barrier = 0
-    for c in cs:
-        if c.item == item and c.v == goal and c.u in (None, goal):
-            barrier = max(barrier, c.t + 1)
-    if Constraint(item, VERTEX, 0, start) in cs:
+    for v, t in states:
+        if v == goal:
+            barrier = max(barrier, t + 1)
+    for u, v, t in moves:
+        if u == v == goal:
+            barrier = max(barrier, t + 1)
+    if (start, 0) in states:
         return None
 
     open_heap = [(h0, 0, start)]
@@ -168,9 +145,9 @@ def reference_shortest_path(adj, dist, item, start, goal, cs, horizon):
                 continue
             if (w, t + 1) in closed:
                 continue
-            if Constraint(item, VERTEX, t + 1, w) in cs:
+            if (w, t + 1) in states:
                 continue
-            if Constraint(item, EDGE, t, w, u=v) in cs:
+            if (v, w, t) in moves:
                 continue
             if (w, t + 1) not in parent:
                 parent[(w, t + 1)] = (v, t)
@@ -178,26 +155,25 @@ def reference_shortest_path(adj, dist, item, start, goal, cs, horizon):
     return None
 
 
-def _random_constraints(rng, g, items, goal, count):
+def _random_bans(rng, g, goal, count):
     out = []
     for _ in range(count):
-        item = rng.choice(items)
         t = rng.randint(0, 8)
         kind = rng.randrange(4)
         if kind == 0:  # a vertex at a time
-            out.append(Constraint(item, VERTEX, t, rng.randrange(g.n)))
+            out.append((rng.randrange(g.n), t))
         elif kind == 1:  # a move along an edge
             u = rng.randrange(g.n)
             if g.adj[u]:
-                out.append(Constraint(item, EDGE, t, rng.choice(g.adj[u]), u=u))
+                out.append((u, rng.choice(g.adj[u]), t))
         elif kind == 2:  # a wait
             u = rng.randrange(g.n)
-            out.append(Constraint(item, EDGE, t, u, u=u))
+            out.append((u, u, t))
         else:  # being at, or waiting at, the goal
             if rng.random() < 0.5:
-                out.append(Constraint(item, VERTEX, t, goal))
+                out.append((goal, t))
             else:
-                out.append(Constraint(item, EDGE, t, goal, u=goal))
+                out.append((goal, goal, t))
     return out
 
 
@@ -214,12 +190,11 @@ def test_matches_the_reference_on_random_constraint_sets():
         g = graphs[trial % len(graphs)]
         dt = all_pairs_distances(g)
         start, goal = rng.randrange(g.n), rng.randrange(g.n)
-        # constraints on item 0 and on another item, which must not matter
-        cs = ConstraintSet(_random_constraints(rng, g, [0, 0, 1], goal, rng.randint(0, 12)))
+        states, moves = split(_random_bans(rng, g, goal, rng.randint(0, 12)))
         horizon = rng.choice([rng.randint(0, 6), 9 + g.n])
-        want = reference_shortest_path(g.adj, dt, 0, start, goal, cs, horizon)
-        got = constrained_shortest_path(g.adj, dt, 0, start, goal, cs, horizon)
-        assert got == want, (g, start, goal, sorted(cs, key=repr), horizon)
+        want = reference_shortest_path(g.adj, dt, start, goal, states, moves, horizon)
+        got = constrained_shortest_path(g.adj, dt, start, goal, states, moves, horizon)
+        assert got == want, (g, start, goal, sorted(states), sorted(moves), horizon)
         if want is None:
             missing += 1
         else:
