@@ -85,16 +85,11 @@ class MetricsRow:
 
 CSV_HEADER = ["schema"] + [f.name for f in fields(MetricsRow)]
 
-def _oracle(inst: Instance, timeout: float | None = None) -> SolveResult:
-    """oracle_solve, which takes no time budget, as a solver."""
-    return oracle_solve(inst)
-
-
 # name -> solver(inst, timeout=...) -> SolveResult with stats.algorithm == name
 SOLVERS = {
     "cbs": cbs_solve,
     "mddsat": mdd_sat_solve,
-    "oracle": _oracle,
+    "oracle": oracle_solve,
     "smtcbs": smt_cbs_solve,
 }
 

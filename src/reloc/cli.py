@@ -24,7 +24,9 @@ import tempfile
 
 from . import bench
 from .graphs import build_graph, make_clique, make_grid, make_random, make_star
-from .relocation import Instance, Variant, validate
+from .relocation import (Instance, Variant, random_instance,
+                         random_permutation_instance, validate)
+from .result import STATUS_LIMIT, STATUS_SOLVED, STATUS_TIMEOUT
 from .satcore import SatError, to_dimacs
 
 EXIT_OK = 0
@@ -202,12 +204,9 @@ def _cmd_generate(args) -> int:
         else:
             g = make_clique(int(args.size))
         variant = Variant(args.variant)
-        if args.permutation:
-            from .relocation import random_permutation_instance
-            inst = random_permutation_instance(g, variant, args.items, args.seed)
-        else:
-            from .relocation import random_instance
-            inst = random_instance(g, variant, args.items, args.seed)
+        generate = (random_permutation_instance if args.permutation
+                    else random_instance)
+        inst = generate(g, variant, args.items, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -276,12 +275,12 @@ def _cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    if res.status == "solved":
+    if res.status == STATUS_SOLVED:
         if validate(inst, res.plan):
             raise RuntimeError("solver returned an invalid plan")
         _print_plan(res.plan)
         return EXIT_OK
-    if res.status in ("timeout", "limit"):
+    if res.status in (STATUS_TIMEOUT, STATUS_LIMIT):
         print(f"{res.status}: no answer within the configured budget", file=sys.stderr)
         return EXIT_TIMEOUT
     print("unsolvable", file=sys.stderr)
@@ -325,7 +324,10 @@ def _cmd_bench(args) -> int:
 
 def _budget(text: str) -> float:
     """A --timeout value: finite seconds, not negative."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0 <= value < math.inf:  # also false for nan
         raise argparse.ArgumentTypeError(f"not a budget in seconds: {text!r}")
     return value
@@ -333,10 +335,9 @@ def _budget(text: str) -> float:
 
 def _count(text: str) -> int:
     """A --seeds value: a positive integer."""
-    value = int(text)
-    if value < 1:
+    if not (_decimal([text]) and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"not a positive count: {text!r}")
-    return value
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,16 +13,16 @@ Variables: X(i,v,t) "item i at v at time t", E(i,u,v,t) "item i traverses
 arc u->v between t and t+1" (u == v is the wait arc), U(i,t) "item i is
 still unsettled at time t" for t in [d_i, d_i + delta).
 
-A movement rule is posted as the clauses of collisions (relocation.Collision),
-each grounded by the one clause builder of its kind (vertex, occupancy,
-swap, rot, empty). The full encoding grounds every collision of the kinds
-that make up the variant's rule: vertex, plus occupancy (MAPF), swap
-(TSWAP), empty (TPERM) or empty and rot (TROT). The basic encoding keeps
-only single-item path consistency plus cost accounting and grounds the
-records of the collisions that validation discovered. Both go through the
-same builders, and step_collisions names only the kinds of the variant's
-rule (a TSWAP move into an empty vertex is a "swap"), so every lazy clause
-also appears in the full encoding by construction.
+A movement rule is posted as the clauses of collision records
+(relocation.Collision), each grounded by clause_for_record through the one
+clause builder of its kind (vertex, occupancy, swap, rot, empty). The basic
+encoding keeps only single-item path consistency plus cost accounting and
+grounds the records of the collisions that validation discovered. The full
+encoding adds rule_records(vm), every potential collision of the variant's
+rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty (TPERM) or empty
+and rot (TROT). step_collisions names only the kinds of the variant's rule
+(a TSWAP move into an empty vertex is a "swap"), so every lazy clause also
+appears in the full encoding by construction.
 """
 
 from __future__ import annotations
@@ -302,10 +302,10 @@ def _move_arcs(vm: VarMap):
                     yield i, u, v, t
 
 
-def _encode_rules(formula: CnfFormula, vm: VarMap) -> None:
-    """The clause of every record of the variant's rule kinds: vertex pairs
-    by time, vertex (in order of its first possible occupant) and a < b,
-    then the variant's per-arc kind, then TROT's head-on pairs."""
+def rule_records(vm: VarMap):
+    """The record of every potential collision of the variant's rule: vertex
+    pairs by time, vertex (in order of its first possible occupant) and a < b,
+    then the variant's per-arc kind, then TROT's head-on pairs with j > i."""
     for t in range(vm.mu + 1):
         occupants: dict[int, list[int]] = {}
         for i, mdd in enumerate(vm.mdds):
@@ -314,33 +314,21 @@ def _encode_rules(formula: CnfFormula, vm: VarMap) -> None:
         for v, items in occupants.items():
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):
-                    formula.add_clause(_vertex(vm, t, items[a], v, items[b], None))
+                    yield Collision(KIND_VERTEX, t, items[a], v, items[b])
     variant = vm.inst.variant
     if variant == Variant.MAPF:
         for i, u, v, t in _move_arcs(vm):
             for j in vm.items_at(v, t):
                 if j != i:
-                    formula.add_clause(_occupancy(vm, t, i, v, j, u))
+                    yield Collision(KIND_OCCUPANCY, t, i, v, j, u)
         return
-    per_arc = _swap if variant == Variant.TSWAP else _empty
+    per_arc = KIND_SWAP if variant == Variant.TSWAP else KIND_EMPTY
     for i, u, v, t in _move_arcs(vm):
-        formula.add_clause(per_arc(vm, t, i, v, None, u))
+        yield Collision(per_arc, t, i, v, None, u)
     if variant == Variant.TROT:
         for i, u, v, t in _move_arcs(vm):
             for j in range(i + 1, vm.inst.k):
-                clause = _rot(vm, t, i, v, j, u)
-                if clause is not None:
-                    formula.add_clause(clause)
-
-
-def encode_full(inst: Instance, xi: int) -> tuple[CnfFormula, VarMap]:
-    """Complete encoding: SAT iff a solution of sum-of-costs <= xi exists."""
-    formula = CnfFormula()
-    vm = VarMap(formula, inst, xi)
-    _encode_paths(formula, vm)
-    _encode_cost(formula, vm)
-    _encode_rules(formula, vm)
-    return formula, vm
+                yield Collision(KIND_ROT, t, i, v, j, u)
 
 
 def encode_basic(inst: Instance, xi: int, records=()) -> tuple[CnfFormula, VarMap]:
@@ -350,11 +338,22 @@ def encode_basic(inst: Instance, xi: int, records=()) -> tuple[CnfFormula, VarMa
     vm = VarMap(formula, inst, xi)
     _encode_paths(formula, vm)
     _encode_cost(formula, vm)
+    _add_records(formula, vm, records)
+    return formula, vm
+
+
+def encode_full(inst: Instance, xi: int) -> tuple[CnfFormula, VarMap]:
+    """Complete encoding: SAT iff a solution of sum-of-costs <= xi exists."""
+    formula, vm = encode_basic(inst, xi)
+    _add_records(formula, vm, rule_records(vm))
+    return formula, vm
+
+
+def _add_records(formula: CnfFormula, vm: VarMap, records) -> None:
     for rec in records:
         clause = clause_for_record(rec, vm)
         if clause is not None:
             formula.add_clause(clause)
-    return formula, vm
 
 
 def extract_plan(vm: VarMap, model: dict[int, bool]) -> Plan:

@@ -21,6 +21,7 @@ from .relocation import Instance, Variant, make_plan
 from .result import (
     STATUS_LIMIT,
     STATUS_SOLVED,
+    STATUS_TIMEOUT,
     STATUS_UNSOLVABLE,
     SolveResult,
     SolveStats,
@@ -205,7 +206,8 @@ def is_solvable(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
     return False
 
 
-def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
+def oracle_solve(inst: Instance, timeout: float | None = None,
+                 vertex_cap=DEFAULT_VERTEX_CAP,
                  item_cap=DEFAULT_ITEM_CAP) -> SolveResult:
     """Minimum sum-of-costs by Dijkstra over (positions, settled-mask)."""
     t0 = time.monotonic()
@@ -230,6 +232,8 @@ def oracle_solve(inst: Instance, vertex_cap=DEFAULT_VERTEX_CAP,
             break
         if len(dist) > STATE_CAP:
             return finish(stats, t0, STATUS_LIMIT)
+        if timeout is not None and time.monotonic() - t0 > timeout:
+            return finish(stats, t0, STATUS_TIMEOUT)
         succs = []
         # settle any one unsettled item already at its goal (free)
         for i in range(k):

@@ -5,16 +5,16 @@ times, each candidate xi is tested for a solution of cost <= xi, so the first
 satisfiable bound is optimal. They differ only in when collision clauses are
 posted.
 
-mdd_sat_solve posts all of them up front: encode_full grounds every record of
-the variant's rule, and each bound is one one-shot SAT call whose plan must be
-collision-free. smt_cbs_solve posts one only after a plan breaks it: each
-bound starts from the relaxed encoding plus the records learned so far,
-validates satisfying assignments against the movement rules, and adds the
-clauses of all violated rules before re-solving. An unsatisfiable relaxation
-is a proof that the full encoding is unsatisfiable too, so the bound can be
-raised. Records persist across bounds and are re-grounded against the new
-variable layout. Both ground collisions through the encoder's one clause
-builder per record kind.
+mdd_sat_solve posts all of them up front: encode_full grounds the records of
+the variant's whole rule (encoder.rule_records), and each bound is one
+one-shot SAT call whose plan must be collision-free. smt_cbs_solve posts one
+only after a plan breaks it: each bound starts from the relaxed encoding plus
+the records learned so far, validates satisfying assignments against the
+movement rules, and adds the clauses of all violated rules before re-solving.
+An unsatisfiable relaxation is a proof that the full encoding is unsatisfiable
+too, so the bound can be raised. Records persist across bounds and are
+re-grounded against the new variable layout. Both ground records through the
+same clause_for_record, the encoder's one clause builder per record kind.
 
 A model whose plan costs more than its bound is not a model of the formula;
 it is rejected with satcore.SatError, so a faulty SAT backend never yields a

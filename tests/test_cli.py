@@ -134,6 +134,15 @@ def test_solve_timeout_exit_code(tmp_path, capsys):
                  "--timeout", "0.05"]) == EXIT_TIMEOUT
 
 
+def test_oracle_solve_times_out_with_exit_code_3(tmp_path, capsys):
+    out = str(tmp_path / "mapf5.txt")
+    main(["generate", "--family", "grid", "--size", "3", "--variant", "mapf",
+          "--items", "5", "--seed", "1", "--out", out])
+    assert main(["solve", "--algo", "oracle", "--in", out,
+                 "--timeout", "0.05"]) == EXIT_TIMEOUT
+    assert capsys.readouterr().err.startswith("timeout:")
+
+
 def test_solve_appends_stats_rows(tmp_path, capsys):
     path = write(tmp_path, "i.txt", SWAP_TEXT)
     stats = str(tmp_path / "stats.csv")
@@ -308,7 +317,8 @@ def test_solve_rejects_a_timeout_that_is_not_a_budget(tmp_path, capsys, timeout)
     path = write(tmp_path, "i.txt", SWAP_TEXT)
     assert main(["solve", "--algo", "cbs", "--in", path,
                  "--timeout", timeout]) == EXIT_USAGE
-    assert "--timeout" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--timeout" in err and "_budget" not in err
 
 
 @pytest.mark.parametrize("algo", ["cbs", "oracle"])
@@ -319,7 +329,7 @@ def test_sat_backend_is_refused_by_solvers_without_sat(tmp_path, capsys, algo):
     assert "does not apply" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", ["0", "-2"])
+@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
 def test_bench_rejects_seeds_that_are_not_a_positive_count(tmp_path, capsys,
                                                            monkeypatch, seeds):
     runs = []

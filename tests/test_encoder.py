@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
+from reloc.bench import suite_instance
 from reloc.encoder import (
     VarMap,
     at_most_k,
@@ -13,13 +16,15 @@ from reloc.encoder import (
     lower_bound,
     makespan_bound,
     record_from_collision,
+    rule_records,
 )
-from reloc.graphs import INF, build_graph, make_clique, make_grid
+from reloc.graphs import INF, build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
 from reloc.relocation import (
     Collision,
     Instance,
     Variant,
+    make_plan,
     plan_cost,
     random_instance,
     random_permutation_instance,
@@ -228,6 +233,74 @@ def test_refinement_clauses_appear_in_full_encoding(variant):
         Variant.TPERM: {"vertex", "empty"},
     }[variant]
     assert kinds == expected
+
+
+def random_mdd_plan(vm, rng):
+    """A joint plan of independent forward walks along each item's MDD arcs:
+    every path is one the encodings can express, and paths may collide."""
+    paths = []
+    for mdd in vm.mdds:
+        path = [mdd.levels[0][0]]
+        for lvl_arcs in mdd.arcs:
+            path.append(rng.choice([v for u, v in lvl_arcs if u == path[-1]]))
+        paths.append(path)
+    return make_plan(paths)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_every_collision_of_an_mdd_plan_is_a_rule_record(variant):
+    # lazy is a subset of eager at the record level: whatever collision
+    # validation can report on paths inside the MDDs, which include every
+    # model of the basic encoding, encode_full has already grounded through
+    # the same record
+    kinds = set()
+    rng = random.Random(7)
+    for g in (make_grid(3, 3), make_star(6), make_clique(5)):
+        for seed in range(6):
+            if variant == Variant.MAPF:
+                inst = random_instance(g, variant, 3, seed)
+            else:
+                inst = random_permutation_instance(g, variant, 4, seed)
+            lb = lower_bound(inst)
+            if lb >= INF:
+                continue
+            for xi in (lb, lb + 2):
+                ff, vm = encode_full(inst, xi)
+                rules = set(rule_records(vm))
+                full = {tuple(sorted(c)) for c in ff.clauses}
+                for _ in range(20):
+                    for col in validate(inst, random_mdd_plan(vm, rng)):
+                        rec = record_from_collision(col)
+                        assert rec in rules, rec
+                        clause = clause_for_record(rec, vm)
+                        assert clause is not None, rec
+                        assert tuple(sorted(clause)) in full, rec
+                        kinds.add(rec.kind)
+    expected = {
+        Variant.MAPF: {"vertex", "occupancy"},
+        Variant.TSWAP: {"vertex", "swap"},
+        Variant.TROT: {"vertex", "empty", "rot"},
+        Variant.TPERM: {"vertex", "empty"},
+    }[variant]
+    assert kinds == expected
+
+
+# sha256 of repr((num_vars, clauses)) of encode_full over 36 formulas; a
+# refactor of the encoder must leave every formula byte-identical, and a
+# change that alters the formulas updates this pin and says so in CHANGES.md
+FULL_ENCODING_SHA256 = "8b0c4090b8d5630b1df80ccc6c7f1da797b1f6a3f3af8b1b08674c52a7786d62"
+
+
+def test_full_encodings_are_pinned():
+    digest = hashlib.sha256()
+    for variant in Variant:
+        for seed in range(3):
+            inst = suite_instance("grid3", variant, 3, seed)
+            lb = lower_bound(inst)
+            for xi in range(lb, lb + 3):
+                f, _ = encode_full(inst, xi)
+                digest.update(repr((f.num_vars, f.clauses)).encode())
+    assert digest.hexdigest() == FULL_ENCODING_SHA256
 
 
 def test_records_sort_kind_major_then_by_fields():

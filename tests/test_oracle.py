@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from reloc.bench import SOLVERS
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import is_solvable, oracle_solve, successor_positions
 from reloc.relocation import Instance, Variant, plan_cost, random_instance, validate
@@ -103,3 +106,12 @@ def test_disconnected_goal_unsolvable():
     g = build_graph(4, [(0, 1), (2, 3)])
     i = Instance(g, Variant.MAPF, (0,), (3,))
     assert oracle_solve(i).status == "unsolvable"
+
+
+def test_oracle_honours_its_time_budget():
+    # solved after about 0.3-0.6 s without a budget
+    inst = random_instance(make_grid(3, 3), Variant.MAPF, 5, 1)
+    t0 = time.monotonic()
+    res = SOLVERS["oracle"](inst, timeout=0.05)
+    assert res.status == "timeout"
+    assert time.monotonic() - t0 <= 0.05 + 0.25
