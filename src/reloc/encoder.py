@@ -9,6 +9,10 @@ plan of individual cost <= d_i + delta is still possible:
     V_i^t = {v : dist(s_i, v) <= t  and  t + dist(v, g_i) <= d_i + delta}
             united with {g_i} when t >= d_i   (resting at the goal)
 
+so build_mdd places each v of the ellipse dist(s_i, v) + dist(g_i, v) <= d_i +
+delta once, on the levels dist(s_i, v) .. d_i + delta - dist(g_i, v), reading
+only the distance rows of s_i and g_i (effective adjacency is symmetric).
+
 Variables: X(i,v,t) "item i at v at time t", E(i,u,v,t) "item i traverses
 arc u->v between t and t+1" (u == v is the wait arc), U(i,t) "item i is
 still unsettled at time t" for t in [d_i, d_i + delta).
@@ -84,29 +88,20 @@ def build_mdd(inst: Instance, item: int, xi: int) -> Mdd:
     dist = effective_distances(inst)
     adj = effective_adjacency(inst)
     s, g = inst.starts[item], inst.goals[item]
-    d = dist(s, g)
+    from_s, to_g = dist.dist[s], dist.dist[g]
+    d = from_s[g]
     mu = makespan_bound(inst, xi)
     budget = xi - lower_bound(inst) + d  # this item's cost ceiling d + delta
-    levels = []
-    for t in range(mu + 1):
-        lvl = {
-            v
-            for v in range(inst.graph.n)
-            if dist(s, v) <= t and t + dist(v, g) <= budget
-        }
-        if t >= d:
-            lvl.add(g)
-        levels.append(tuple(sorted(lvl)))
-    arcs = []
-    for t in range(mu):
-        here, there = set(levels[t]), set(levels[t + 1])
-        lvl_arcs = []
-        for u in levels[t]:
-            for v in (u,) + tuple(adj[u]):
-                if v in there:
-                    lvl_arcs.append((u, v))
-        arcs.append(tuple(sorted(lvl_arcs)))
-    return Mdd(tuple(levels), tuple(arcs))
+    levels = [[] for _ in range(mu + 1)]
+    for v in range(inst.graph.n):  # by vertex id, so every level is sorted
+        last = mu if v == g else budget - to_g[v]  # the goal rests through mu
+        for t in range(from_s[v], last + 1):
+            levels[t].append(v)
+    arcs = tuple(
+        tuple(sorted((u, v) for u in here for v in (u,) + adj[u] if v in there))
+        for here, there in zip(levels, map(set, levels[1:]))
+    )
+    return Mdd(tuple(map(tuple, levels)), arcs)
 
 
 class VarMap:

@@ -105,9 +105,10 @@ def make_clique(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class DistTable:
-    """All-pairs hop distances; INF marks unreachable pairs."""
+    """Hop distances dist[u][v] by source u, INF when unreachable. The rows
+    may cover only some sources; reading another row raises KeyError."""
 
-    dist: tuple[tuple[int, ...], ...]
+    dist: dict[int, tuple[int, ...]]
 
     def __call__(self, u: int, v: int) -> int:
         return self.dist[u][v]
@@ -131,6 +132,4 @@ def bfs_distances(n: int, adj, source: int) -> list[int]:
 
 def all_pairs_distances(g: Graph) -> DistTable:
     """BFS from every vertex; exact unit-weight hop distances."""
-    return DistTable(
-        tuple(tuple(bfs_distances(g.n, g.adj, s)) for s in range(g.n))
-    )
+    return DistTable({s: tuple(bfs_distances(g.n, g.adj, s)) for s in range(g.n)})

@@ -9,7 +9,7 @@ banned move. Trailing goal-waits are free, so the path cost equals the
 settle time.
 
 Per state the search reads only plain containers: the two ban sets and the
-goal's column of the distance table. A state (v, t) is keyed as the integer
+goal's row of the distance table. A state (v, t) is keyed as the integer
 t * n + v; heap entries are (f, t, v), so ties break on time, then vertex.
 """
 
@@ -25,14 +25,14 @@ def constrained_shortest_path(adj, dist, start: int, goal: int,
     """Minimum-settle-time path for one item, or None when no path fits.
 
     adj: per-vertex neighbor lists (already restricted for token variants).
-    dist: DistTable over the same (undirected) adjacency, used as the A*
-    heuristic.
+    dist: DistTable over the same (undirected) adjacency holding the goal's
+    row, used as the A* heuristic.
     states, moves: the item's banned states {(v, t)} and banned moves
     {(u, v, t)}, the move from u to v departing at time t.
     Ties break on (smaller time, smaller vertex id) so runs are reproducible.
     """
     n = len(adj)
-    to_goal = dist.dist[goal]  # distances are symmetric: the goal's column
+    to_goal = dist.dist[goal]  # distances are symmetric: the goal's row
     h0 = to_goal[start]
     if h0 >= INF:
         return None

@@ -301,7 +301,9 @@ def effective_adjacency(inst: Instance) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=256)
 def effective_distances(inst: Instance) -> DistTable:
-    """All-pairs distances over the effective adjacency."""
+    """Distances over the effective adjacency from the starts and goals only,
+    the rows the solvers read; the adjacency is symmetric, so they read
+    dist(v, g) as dist(g, v)."""
     adj = effective_adjacency(inst)
     n = inst.graph.n
-    return DistTable(tuple(tuple(bfs_distances(n, adj, s)) for s in range(n)))
+    return DistTable({s: tuple(bfs_distances(n, adj, s)) for s in {*inst.starts, *inst.goals}})

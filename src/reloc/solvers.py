@@ -68,11 +68,6 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
         formula, vm = encode(xi, records)
         stats.clauses = len(formula.clauses)
         stats.variables = formula.num_vars
-        if refine:
-            # clause-level duplicate guard for this bound
-            emitted = {tuple(sorted(c)) for c in formula.clauses}
-            if len(emitted) != len(formula.clauses):
-                raise RuntimeError("duplicate clause in initial lazy encoding")
         solver = satmod.SatSolver(formula.num_vars, formula.clauses) if sat is None else None
         while True:
             budget = None if deadline is None else deadline - time.monotonic()
@@ -100,18 +95,15 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
                 raise RuntimeError(f"full encoding produced invalid plan: {collisions[0]}")
             added = 0
             for rec in sorted({record_from_collision(c) for c in collisions}):
+                if rec in records:
+                    # its clause is posted and satisfied, e.g. a swap answered
+                    # by an item that itself collides; distinct records ground
+                    # to distinct clauses, so a new record adds a new clause
+                    continue
                 records.add(rec)
                 clause = clause_for_record(rec, vm)
                 if clause is None:
                     continue
-                key = tuple(sorted(clause))
-                if key in emitted:
-                    # a colliding pair can re-trigger a record whose clause is
-                    # already satisfied (e.g. a swap reciprocated by an item
-                    # that itself collides); some other record of this round
-                    # always yields a fresh clause
-                    continue
-                emitted.add(key)
                 formula.add_clause(clause)
                 if solver is not None:
                     solver.add_clause(clause)
@@ -122,8 +114,8 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
                 )
             stats.refinements += added
             stats.clauses = len(formula.clauses)
-        # free this bound's formula, solver and guard before the next is encoded
-        formula = vm = solver = emitted = None
+        # free this bound's formula and solver before the next is encoded
+        formula = vm = solver = None
     return finish(stats, t0, STATUS_LIMIT)
 
 

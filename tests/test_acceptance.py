@@ -228,8 +228,9 @@ def test_criterion_5_encoding_equals_reachability():
 
 
 def test_criterion_6_refinement_invariants():
-    # internal asserts raise on any duplicate clause within one bound or a
-    # stalled inner loop, so surviving 500 runs proves the invariant
+    # a stalled inner loop raises, and the bound loop posts each record once per
+    # bound, which adds no clause twice (the premise is checked by
+    # test_encoder.py::test_distinct_records_ground_to_distinct_clauses)
     runs = with_refinement = 0
     for seed in range(500):
         _, g = SMALL_GRAPHS[seed % len(SMALL_GRAPHS)]

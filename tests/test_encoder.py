@@ -6,6 +6,7 @@ import pytest
 
 from reloc.bench import suite_instance
 from reloc.encoder import (
+    Mdd,
     VarMap,
     at_most_k,
     build_mdd,
@@ -18,12 +19,22 @@ from reloc.encoder import (
     record_from_collision,
     rule_records,
 )
-from reloc.graphs import INF, build_graph, make_clique, make_grid, make_star
+from reloc.graphs import (
+    INF,
+    all_pairs_distances,
+    build_graph,
+    make_clique,
+    make_grid,
+    make_random,
+    make_star,
+)
 from reloc.oracle import oracle_solve
 from reloc.relocation import (
     Collision,
     Instance,
     Variant,
+    effective_adjacency,
+    effective_distances,
     make_plan,
     plan_cost,
     random_instance,
@@ -105,6 +116,76 @@ def test_mdd_goal_tail_present_with_slack():
     d = 1
     for t in range(d, len(mdd.levels)):
         assert i.goals[0] in mdd.levels[t]
+
+
+def endpoint_instances(variant):
+    """Seeded instances on grid, star, clique and random graphs. Token
+    instances on a partial support leave the vertices off it at INF, and the
+    random_instance ones, with a start set that differs from the goal set,
+    have no finite lower bound."""
+    for g in (make_grid(4, 3), make_star(7), make_clique(5), make_random(9, 0.15, 3)):
+        for seed in range(4):
+            k = 2 + seed % 3
+            yield random_instance(g, variant, k, seed)
+            if variant != Variant.MAPF:
+                yield random_permutation_instance(g, variant, k, seed)
+
+
+def all_pairs_effective_distances(inst):
+    """BFS from every vertex over the effective adjacency."""
+    adj = effective_adjacency(inst)
+    n = inst.graph.n
+    return all_pairs_distances(build_graph(n, [(u, v) for u in range(n) for v in adj[u]]))
+
+
+def full_scan_mdd(inst, item, xi):
+    """The module docstring's V_i^t, testing every vertex at every level
+    against all-pairs distances, with every wait or effective edge between
+    consecutive levels as an arc."""
+    adj = effective_adjacency(inst)
+    n = inst.graph.n
+    dist = all_pairs_effective_distances(inst)
+    s, g = inst.starts[item], inst.goals[item]
+    d = dist(s, g)
+    budget = d + xi - lower_bound(inst)
+    levels = [
+        tuple(v for v in range(n)
+              if dist(s, v) <= t and t + dist(v, g) <= budget or v == g and t >= d)
+        for t in range(makespan_bound(inst, xi) + 1)
+    ]
+    arcs = [
+        tuple(sorted((u, v) for u in here for v in (u,) + adj[u] if v in there))
+        for here, there in zip(levels, levels[1:])
+    ]
+    return Mdd(tuple(levels), tuple(arcs))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_endpoint_distance_rows_are_all_pairs_rows(variant):
+    for inst in endpoint_instances(variant):
+        ref = all_pairs_effective_distances(inst)
+        table = effective_distances(inst)
+        endpoints = set(inst.starts + inst.goals)
+        assert set(table.dist) == endpoints
+        for v in endpoints:
+            assert table.dist[v] == ref.dist[v], (inst, v)
+        for v in set(range(inst.graph.n)) - endpoints:
+            with pytest.raises(KeyError):
+                table(v, inst.goals[0])
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_mdd_equals_the_full_scan_of_its_definition(variant):
+    checked = 0
+    for inst in endpoint_instances(variant):
+        lb = lower_bound(inst)
+        if lb >= INF:
+            continue
+        for xi in (lb, lb + 1, lb + 3):
+            for item in range(inst.k):
+                assert build_mdd(inst, item, xi) == full_scan_mdd(inst, item, xi), (inst, item, xi)
+                checked += 1
+    assert checked > 100
 
 
 # --- cardinality helper -------------------------------------------------------
@@ -283,6 +364,41 @@ def test_every_collision_of_an_mdd_plan_is_a_rule_record(variant):
         Variant.TPERM: {"vertex", "empty"},
     }[variant]
     assert kinds == expected
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_distinct_records_ground_to_distinct_clauses(variant):
+    # the lazy bound loop skips a record it already holds and posts every new
+    # one; that adds no clause twice because, at one bound, the starting
+    # formula repeats no clause, no two records ground to the same clause,
+    # and no record clause is a path or cost clause. Every record the lazy
+    # solver can hold whose clause exists at a bound is in rule_records there.
+    grounded = 0
+    for family in ("grid3", "star8", "clique5", "rand8"):
+        for k in (2, 3, 4):
+            for seed in range(4):
+                inst = suite_instance(family, variant, k, seed)
+                lb = lower_bound(inst)
+                if lb >= INF:
+                    continue
+                for xi in (lb, lb + 2):
+                    fb, vm = encode_basic(inst, xi)
+                    owner = {}
+                    for clause in fb.clauses:
+                        key = tuple(sorted(clause))
+                        assert key not in owner, f"duplicate basic clause {key}"
+                        owner[key] = "basic"
+                    records = list(rule_records(vm))
+                    assert len(set(records)) == len(records)
+                    for rec in records:
+                        clause = clause_for_record(rec, vm)
+                        if clause is None:
+                            continue
+                        key = tuple(sorted(clause))
+                        assert key not in owner, (rec, owner[key])
+                        owner[key] = rec
+                        grounded += 1
+    assert grounded > 1000
 
 
 # sha256 of repr((num_vars, clauses)) of encode_full over 36 formulas; a

@@ -44,3 +44,15 @@ def test_every_per_layer_metric_is_measured(capsys):
                if line.startswith("missing hook: ")}
     assert unbound <= UNBOUND
     assert metrics["oracle.precheck_calls"]["value"] == 3 * len(SOLVED)
+
+
+def test_cold_caches_empties_both_per_instance_caches():
+    # _cold_caches finds the caches by name and skips a missing one silently;
+    # a renamed cache would then be shared by the three solvers of a round
+    from reloc import relocation
+
+    caches = (relocation.effective_adjacency, relocation.effective_distances)
+    relocation.effective_distances(SOLVED[0])
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    run._cold_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]

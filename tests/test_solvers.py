@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from reloc import satcore, solvers
+from reloc import relocation, satcore, solvers
 from reloc.bench import suite_instance
+from reloc.cbs import cbs_solve
 from reloc.encoder import clause_for_record, encode_basic, lower_bound, record_from_collision
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
 from reloc.oracle import oracle_solve
@@ -176,3 +177,21 @@ def test_lazy_refinement_that_adds_nothing_stalls(monkeypatch):
     monkeypatch.setattr(solvers, "clause_for_record", lambda rec, vm: None)
     with pytest.raises(RuntimeError, match="refinement stalled"):
         smt_cbs_solve(CROSSING, timeout=30)
+
+
+@pytest.mark.parametrize("solver", SOLVERS + [cbs_solve])
+def test_a_solve_runs_one_bfs_per_distinct_endpoint(solver, monkeypatch):
+    calls = []
+    bfs = relocation.bfs_distances
+
+    def counted(n, adj, source):
+        calls.append(source)
+        return bfs(n, adj, source)
+
+    monkeypatch.setattr(relocation, "bfs_distances", counted)
+    for variant in Variant:
+        inst = suite_instance("grid8", variant, 4, 3)
+        relocation.effective_distances.cache_clear()
+        calls.clear()
+        solver(inst, timeout=30)
+        assert sorted(calls) == sorted(set(inst.starts + inst.goals)), variant
