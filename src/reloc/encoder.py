@@ -15,7 +15,14 @@ only the distance rows of s_i and g_i (effective adjacency is symmetric).
 
 Variables: X(i,v,t) "item i at v at time t", E(i,u,v,t) "item i traverses
 arc u->v between t and t+1" (u == v is the wait arc), U(i,t) "item i is
-still unsettled at time t" for t in [d_i, d_i + delta).
+still unsettled at time t" for t in [d_i, d_i + delta). VarMap numbers them
+consecutively, item by item the X variables level by level in vertex order,
+then the E variables level by level in arc order, and after the last item
+the U variables item by item. Its tables are one dict per item and level,
+xs[i][t] from vertex to X and es[i][t] from arc (u, v) to E (es[i][mu] is
+empty), and the list us[i] of U(i, d_i), U(i, d_i + 1), ... Each section of
+an encoding reads them through locals and hands the formula its clauses in
+one batch.
 
 A movement rule is posted as the clauses of collision records
 (relocation.Collision), each grounded by clause_for_record through the one
@@ -27,11 +34,17 @@ rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty (TPERM) or empty
 and rot (TROT). step_collisions names only the kinds of the variant's rule
 (a TSWAP move into an empty vertex is a "swap"), so every lazy clause also
 appears in the full encoding by construction.
+
+Given a deadline (time.monotonic() seconds), an encoding checks it per item
+and per time step, never per clause, and raises TimeoutError once it passes.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, count, islice, repeat
 
 from .graphs import INF
 from .relocation import (
@@ -53,97 +66,101 @@ from .satcore import CnfFormula
 
 def lower_bound(inst: Instance) -> int:
     """Sum of single-item shortest settle times; INF when some item is cut off."""
-    dist = effective_distances(inst)
-    total = 0
-    for s, g in zip(inst.starts, inst.goals):
-        d = dist(s, g)
-        if d >= INF:
-            return INF
-        total += d
-    return total
+    return min(INF, sum(map(effective_distances(inst), inst.starts, inst.goals)))
 
 
-def makespan_bound(inst: Instance, xi: int) -> int:
-    """Horizon mu for cost bound xi: every item settles by max_i d_i + slack."""
-    dist = effective_distances(inst)
-    dists = [dist(s, g) for s, g in zip(inst.starts, inst.goals)]
+def _bound(inst: Instance, xi: int):
+    """(per-item start-goal distances, slack delta, horizon mu) of bound xi."""
+    dists = list(map(effective_distances(inst), inst.starts, inst.goals))
     if any(d >= INF for d in dists):
         raise ValueError("instance has an unreachable goal; no finite horizon")
     delta = xi - sum(dists)
     if delta < 0:
         raise ValueError(f"xi={xi} below lower bound {sum(dists)}")
-    return max(dists) + delta
+    return dists, delta, max(dists) + delta
+
+
+def makespan_bound(inst: Instance, xi: int) -> int:
+    """Horizon mu for cost bound xi: every item settles by max_i d_i + slack."""
+    return _bound(inst, xi)[2]
+
+
+def _check(deadline) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("encoding ran past its deadline")
 
 
 @dataclass(frozen=True)
 class Mdd:
-    """Per-item layered diagram: levels[t] are vertices, arcs[t] are (u, v)
-    moves from level t to t+1 (u == v is a wait)."""
+    """Per-item layered diagram: vertices levels[t], moves arcs[t] (u, v) to t+1."""
 
     levels: tuple[tuple[int, ...], ...]
     arcs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def build_mdd(inst: Instance, item: int, xi: int) -> Mdd:
-    dist = effective_distances(inst)
+    dists, delta, mu = _bound(inst, xi)
+    rows = effective_distances(inst).dist
     adj = effective_adjacency(inst)
-    s, g = inst.starts[item], inst.goals[item]
-    from_s, to_g = dist.dist[s], dist.dist[g]
-    d = from_s[g]
-    mu = makespan_bound(inst, xi)
-    budget = xi - lower_bound(inst) + d  # this item's cost ceiling d + delta
+    g = inst.goals[item]
+    from_s, to_g = rows[inst.starts[item]], rows[g]
+    budget = dists[item] + delta  # this item's cost ceiling
     levels = [[] for _ in range(mu + 1)]
-    for v in range(inst.graph.n):  # by vertex id, so every level is sorted
+    ellipse = [v for v in range(inst.graph.n) if from_s[v] + to_g[v] <= budget]
+    for v in ellipse:  # by vertex id, so every level is sorted
         last = mu if v == g else budget - to_g[v]  # the goal rests through mu
         for t in range(from_s[v], last + 1):
             levels[t].append(v)
     arcs = tuple(
-        tuple(sorted((u, v) for u in here for v in (u,) + adj[u] if v in there))
+        tuple(sorted([(u, v) for u in here for v in (u,) + adj[u] if v in there]))
         for here, there in zip(levels, map(set, levels[1:]))
     )
     return Mdd(tuple(map(tuple, levels)), arcs)
 
 
 class VarMap:
-    """Deterministic variable allocation over the MDDs of one (instance, xi)."""
+    """Deterministic variable tables over the MDDs of one (instance, xi); the
+    accessors x, e, u and items_at answer None or [] off the MDDs."""
 
-    def __init__(self, formula: CnfFormula, inst: Instance, xi: int):
-        self.inst = inst
-        self.xi = xi
-        self.mu = makespan_bound(inst, xi)
-        self.mdds = tuple(build_mdd(inst, i, xi) for i in range(inst.k))
-        self._x: dict[tuple[int, int, int], int] = {}
-        self._e: dict[tuple[int, int, int, int], int] = {}
-        self._u: dict[tuple[int, int], int] = {}
-        for i, mdd in enumerate(self.mdds):
-            for t, lvl in enumerate(mdd.levels):
-                for v in lvl:
-                    self._x[i, v, t] = formula.new_var()
-            for t, lvl_arcs in enumerate(mdd.arcs):
-                for u, v in lvl_arcs:
-                    self._e[i, u, v, t] = formula.new_var()
-        dist = effective_distances(inst)
-        delta = xi - lower_bound(inst)
+    def __init__(self, formula: CnfFormula, inst: Instance, xi: int, deadline=None):
+        self.inst, self.xi = inst, xi
+        self.dists, self.delta, self.mu = _bound(inst, xi)
+        self.mdds, self.xs, self.es = [], [], []
+        ids = count(formula.num_vars + 1)  # zip stops before drawing past a level
         for i in range(inst.k):
-            d = dist(inst.starts[i], inst.goals[i])
-            for t in range(d, d + delta):
-                self._u[i, t] = formula.new_var()
+            _check(deadline)
+            self.mdds.append(build_mdd(inst, i, xi))
+            self.xs.append([dict(zip(level, ids)) for level in self.mdds[i].levels])
+            self.es.append([dict(zip(arcs, ids)) for arcs in self.mdds[i].arcs + ((),)])
+        self.us = [list(islice(ids, self.delta)) for _ in range(inst.k)]
+        formula.num_vars = next(ids) - 1
 
     def x(self, i, v, t):
-        return self._x.get((i, v, t))
+        return self.xs[i][t].get(v) if 0 <= t <= self.mu else None
 
     def e(self, i, u, v, t):
-        return self._e.get((i, u, v, t))
+        return self.es[i][t].get((u, v)) if 0 <= t <= self.mu else None
 
     def u(self, i, t):
-        return self._u.get((i, t))
+        t -= self.dists[i]
+        return self.us[i][t] if 0 <= t < self.delta else None
 
     def unsettled_vars(self) -> list[int]:
-        return [self._u[key] for key in sorted(self._u)]
+        return [uv for us in self.us for uv in us]
+
+    @cached_property
+    def occupants(self) -> list[dict[int, list[int]]]:
+        """Per time step, vertex -> the items that may occupy it, in item order."""
+        occupants = [{} for _ in range(self.mu + 1)]
+        for i, xs in enumerate(self.xs):
+            for here, level in zip(occupants, xs):
+                for v in level:
+                    here.setdefault(v, []).append(i)
+        return occupants
 
     def items_at(self, v, t):
         """Item ids that may occupy v at time t."""
-        return [i for i in range(self.inst.k) if (i, v, t) in self._x]
+        return self.occupants[t].get(v, []) if 0 <= t <= self.mu else []
 
 
 def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> None:
@@ -152,71 +169,61 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> None:
     if k >= n:
         return
     if k == 0:
-        for lit in lits:
-            formula.add_clause([-lit])
+        formula.add_clauses([[-lit] for lit in lits])
         return
     # registers s[i][j]: at least j+1 of the first i+1 literals are true
     s = [[formula.new_var() for _ in range(k)] for _ in range(n)]
-    formula.add_clause([-lits[0], s[0][0]])
-    for j in range(1, k):
-        formula.add_clause([-s[0][j]])
+    clauses = [[-lits[0], s[0][0]]] + [[-s[0][j]] for j in range(1, k)]
     for i in range(1, n):
-        formula.add_clause([-lits[i], s[i][0]])
-        formula.add_clause([-s[i - 1][0], s[i][0]])
+        clauses += [-lits[i], s[i][0]], [-s[i - 1][0], s[i][0]]
         for j in range(1, k):
-            formula.add_clause([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            formula.add_clause([-s[i - 1][j], s[i][j]])
-        formula.add_clause([-lits[i], -s[i - 1][k - 1]])
+            clauses += [-lits[i], -s[i - 1][j - 1], s[i][j]], [-s[i - 1][j], s[i][j]]
+        clauses.append([-lits[i], -s[i - 1][k - 1]])
+    formula.add_clauses(clauses)
 
 
-def _encode_paths(formula: CnfFormula, vm: VarMap) -> None:
+def _encode_paths(vm: VarMap, deadline) -> list[list[int]]:
     """Single-item consistency: endpoints, arc choice, arc effects, arrivals."""
-    inst = vm.inst
-    for i, mdd in enumerate(vm.mdds):
-        formula.add_clause([vm.x(i, inst.starts[i], 0)])
-        if vm.mu > 0 or inst.goals[i] != inst.starts[i]:
-            formula.add_clause([vm.x(i, inst.goals[i], vm.mu)])
-        incoming: dict[tuple[int, int], list[int]] = {}
-        for t, lvl_arcs in enumerate(mdd.arcs):
-            outgoing: dict[int, list[int]] = {}
-            for u, v in lvl_arcs:
-                ev = vm.e(i, u, v, t)
-                outgoing.setdefault(u, []).append(ev)
-                incoming.setdefault((v, t + 1), []).append(ev)
-                formula.add_clause([-ev, vm.x(i, u, t)])
-                formula.add_clause([-ev, vm.x(i, v, t + 1)])
-            for u in mdd.levels[t]:
-                outs = outgoing.get(u, [])
-                formula.add_clause([-vm.x(i, u, t)] + outs)
-                for a in range(len(outs)):
-                    for b in range(a + 1, len(outs)):
-                        formula.add_clause([-outs[a], -outs[b]])
-        for t in range(1, vm.mu + 1):
-            for v in mdd.levels[t]:
-                formula.add_clause(
-                    [-vm.x(i, v, t)] + incoming.get((v, t), [])
-                )
+    inst, mu = vm.inst, vm.mu
+    clauses = []
+    add = clauses.append
+    for i, (xs, es) in enumerate(zip(vm.xs, vm.es)):
+        _check(deadline)
+        add([xs[0][inst.starts[i]]])
+        if mu > 0 or inst.goals[i] != inst.starts[i]:
+            add([xs[mu][inst.goals[i]]])
+        arrivals = []  # per level, v -> [-X(v), its in-arcs...]
+        for here, there, arcs in zip(xs, xs[1:], es):
+            outgoing = {u: [-xu] for u, xu in here.items()}
+            incoming = {v: [-xv] for v, xv in there.items()}
+            for (u, v), ev in arcs.items():
+                add([-ev, here[u]])
+                add([-ev, there[v]])
+                outgoing[u].append(ev)
+                incoming[v].append(ev)
+            for out in outgoing.values():
+                add(out)
+                if len(out) > 2:
+                    clauses += ([-a, -b] for a, b in combinations(out[1:], 2))
+            arrivals.append(incoming.values())
+        for incoming in arrivals:
+            clauses += incoming
+    return clauses
 
 
 def _encode_cost(formula: CnfFormula, vm: VarMap) -> None:
     """Tie unsettled flags to goal occupancy and cap total slack at delta."""
-    inst = vm.inst
-    dist = effective_distances(inst)
-    delta = vm.xi - lower_bound(inst)
+    delta = vm.delta
     if delta == 0:
         return
-    for i in range(inst.k):
-        g = inst.goals[i]
-        d = dist(inst.starts[i], g)
-        for t in range(d, d + delta):
-            uv = vm.u(i, t)
-            xg = vm.x(i, g, t)
-            if xg is None:
-                formula.add_clause([uv])
-            else:
-                formula.add_clause([xg, uv])
-            if t + 1 < d + delta:
-                formula.add_clause([-vm.u(i, t + 1), uv])
+    clauses = []
+    for xs, us, d, g in zip(vm.xs, vm.us, vm.dists, vm.inst.goals):
+        for t, uv in enumerate(us):
+            xg = xs[d + t].get(g)
+            clauses.append([uv] if xg is None else [xg, uv])
+            if t + 1 < delta:
+                clauses.append([-us[t + 1], uv])
+    formula.add_clauses(clauses)
     at_most_k(formula, vm.unsettled_vars(), delta)
 
 
@@ -235,49 +242,43 @@ def record_from_collision(col: Collision) -> Collision:
     return col._replace(j=None) if col.kind in (KIND_SWAP, KIND_EMPTY) else col
 
 
-# One clause builder per collision kind, (vm, t, i, v, j, u) -> clause | None.
-# None means every violating assignment is already impossible (a negated
-# variable does not exist); positive literals over missing variables are
-# dropped.
+# One clause builder per collision kind, (vm, t, i, v, j, u) -> clause | None,
+# for 0 <= t <= mu; None when every violating assignment is already impossible
+# (a negated variable does not exist). Missing positive literals are dropped.
 
 
 def _vertex(vm: VarMap, t, i, v, j, u):
-    a, b = vm.x(i, v, t), vm.x(j, v, t)
+    a, b = vm.xs[i][t].get(v), vm.xs[j][t].get(v)
     return None if a is None or b is None else [-a, -b]
 
 
 def _occupancy(vm: VarMap, t, i, v, j, u):
-    ev, xj = vm.e(i, u, v, t), vm.x(j, v, t)
+    ev, xj = vm.es[i][t].get((u, v)), vm.xs[j][t].get(v)
     return None if ev is None or xj is None else [-ev, -xj]
 
 
 def _swap(vm: VarMap, t, i, v, j, u):
-    ev = vm.e(i, u, v, t)
+    ev = vm.es[i][t].get((u, v))
     if ev is None:
         return None
-    backs = (vm.e(other, v, u, t) for other in range(vm.inst.k) if other != i)
+    backs = (es[t].get((v, u)) for other, es in enumerate(vm.es) if other != i)
     return [-ev] + [back for back in backs if back is not None]
 
 
 def _rot(vm: VarMap, t, i, v, j, u):
-    a, b = vm.e(i, u, v, t), vm.e(j, v, u, t)
+    a, b = vm.es[i][t].get((u, v)), vm.es[j][t].get((v, u))
     return None if a is None or b is None else [-a, -b]
 
 
 def _empty(vm: VarMap, t, i, v, j, u):
-    ev = vm.e(i, u, v, t)
+    ev = vm.es[i][t].get((u, v))
     if ev is None:
         return None
-    return [-ev] + [vm.x(other, v, t) for other in vm.items_at(v, t) if other != i]
+    return [-ev] + [vm.xs[other][t][v] for other in vm.items_at(v, t) if other != i]
 
 
-_GROUND = {
-    KIND_VERTEX: _vertex,
-    KIND_OCCUPANCY: _occupancy,
-    KIND_SWAP: _swap,
-    KIND_ROT: _rot,
-    KIND_EMPTY: _empty,
-}
+_GROUND = {KIND_VERTEX: _vertex, KIND_OCCUPANCY: _occupancy, KIND_SWAP: _swap,
+           KIND_ROT: _rot, KIND_EMPTY: _empty}
 
 
 def clause_for_record(rec: Collision, vm: VarMap):
@@ -285,83 +286,72 @@ def clause_for_record(rec: Collision, vm: VarMap):
     ground = _GROUND.get(rec.kind)
     if ground is None:
         raise ValueError(f"unknown record kind {rec.kind!r}")
-    return ground(vm, *rec[1:])
+    return ground(vm, *rec[1:]) if 0 <= rec.t <= vm.mu else None
 
 
-def _move_arcs(vm: VarMap):
-    """All non-wait arcs as (i, u, v, t)."""
-    for i, mdd in enumerate(vm.mdds):
-        for t, lvl_arcs in enumerate(mdd.arcs):
-            for u, v in lvl_arcs:
-                if u != v:
-                    yield i, u, v, t
-
-
-def rule_records(vm: VarMap):
+def rule_records(vm: VarMap, deadline=None):
     """The record of every potential collision of the variant's rule: vertex
     pairs by time, vertex (in order of its first possible occupant) and a < b,
-    then the variant's per-arc kind, then TROT's head-on pairs with j > i."""
-    for t in range(vm.mu + 1):
-        occupants: dict[int, list[int]] = {}
-        for i, mdd in enumerate(vm.mdds):
-            for v in mdd.levels[t]:
-                occupants.setdefault(v, []).append(i)
-        for v, items in occupants.items():
-            for a in range(len(items)):
-                for b in range(a + 1, len(items)):
-                    yield Collision(KIND_VERTEX, t, items[a], v, items[b])
+    then the variant's per-arc kind by item, then TROT's head-on pairs j > i."""
+    occupants = vm.occupants
+    for t, here in enumerate(occupants):
+        _check(deadline)
+        for v, items in here.items():
+            for a, b in combinations(items, 2):
+                yield Collision(KIND_VERTEX, t, a, v, b)
     variant = vm.inst.variant
-    if variant == Variant.MAPF:
-        for i, u, v, t in _move_arcs(vm):
-            for j in vm.items_at(v, t):
+    per_arc = KIND_SWAP if variant == Variant.TSWAP else KIND_EMPTY
+    moves = [[(u, v, t) for t, arcs in enumerate(es) for u, v in arcs if u != v]
+             for es in vm.es]
+    for i, item_moves in enumerate(moves):
+        _check(deadline)
+        for u, v, t in item_moves:
+            if variant != Variant.MAPF:
+                yield Collision(per_arc, t, i, v, None, u)
+                continue
+            for j in occupants[t].get(v, ()):
                 if j != i:
                     yield Collision(KIND_OCCUPANCY, t, i, v, j, u)
-        return
-    per_arc = KIND_SWAP if variant == Variant.TSWAP else KIND_EMPTY
-    for i, u, v, t in _move_arcs(vm):
-        yield Collision(per_arc, t, i, v, None, u)
     if variant == Variant.TROT:
-        for i, u, v, t in _move_arcs(vm):
-            for j in range(i + 1, vm.inst.k):
-                yield Collision(KIND_ROT, t, i, v, j, u)
+        for i, item_moves in enumerate(moves):
+            _check(deadline)
+            for u, v, t in item_moves:
+                for j in range(i + 1, vm.inst.k):
+                    yield Collision(KIND_ROT, t, i, v, j, u)
 
 
-def encode_basic(inst: Instance, xi: int, records=()) -> tuple[CnfFormula, VarMap]:
+def encode_basic(inst: Instance, xi: int, records=(), deadline=None) -> tuple[CnfFormula, VarMap]:
     """Relaxed encoding: path consistency and cost only, plus clauses for the
     given conflict records. A superset of assignments of the full encoding."""
     formula = CnfFormula()
-    vm = VarMap(formula, inst, xi)
-    _encode_paths(formula, vm)
+    vm = VarMap(formula, inst, xi, deadline)
+    formula.add_clauses(_encode_paths(vm, deadline))
     _encode_cost(formula, vm)
     _add_records(formula, vm, records)
     return formula, vm
 
 
-def encode_full(inst: Instance, xi: int) -> tuple[CnfFormula, VarMap]:
+def encode_full(inst: Instance, xi: int, deadline=None) -> tuple[CnfFormula, VarMap]:
     """Complete encoding: SAT iff a solution of sum-of-costs <= xi exists."""
-    formula, vm = encode_basic(inst, xi)
-    _add_records(formula, vm, rule_records(vm))
+    formula, vm = encode_basic(inst, xi, deadline=deadline)
+    _add_records(formula, vm, rule_records(vm, deadline))
     return formula, vm
 
 
 def _add_records(formula: CnfFormula, vm: VarMap, records) -> None:
-    for rec in records:
-        clause = clause_for_record(rec, vm)
-        if clause is not None:
-            formula.add_clause(clause)
+    clauses = map(clause_for_record, records, repeat(vm))
+    formula.add_clauses([clause for clause in clauses if clause is not None])
 
 
 def extract_plan(vm: VarMap, model: dict[int, bool]) -> Plan:
     """Read the per-item trajectories off a satisfying assignment."""
     paths = []
-    for i, mdd in enumerate(vm.mdds):
+    for i, xs in enumerate(vm.xs):
         path = []
-        for t in range(vm.mu + 1):
-            here = [v for v in mdd.levels[t] if model[vm.x(i, v, t)]]
+        for t, level in enumerate(xs):
+            here = [v for v, x in level.items() if model[x]]
             if len(here) != 1:
-                raise ValueError(
-                    f"model places item {i} at {len(here)} vertices at time {t}"
-                )
+                raise ValueError(f"model places item {i} at {len(here)} vertices at time {t}")
             path.append(here[0])
         paths.append(path)
     return make_plan(paths)

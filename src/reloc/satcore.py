@@ -31,11 +31,17 @@ class CnfFormula:
         return self.num_vars
 
     def add_clause(self, lits) -> None:
-        lits = list(lits)
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise SatError(f"literal {lit} references an unallocated variable")
-        self.clauses.append(lits)
+        self.add_clauses([list(lits)])
+
+    def add_clauses(self, batch: list[list[int]]) -> None:
+        """Append a list of clauses, taken over without copying. A literal 0
+        or over an unallocated variable raises SatError and appends nothing."""
+        lits = list(chain.from_iterable(batch))
+        n = self.num_vars
+        if 0 in lits or max(lits, default=0) > n or min(lits, default=0) < -n:
+            bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
+            raise SatError(f"literal {bad} references an unallocated variable")
+        self.clauses += batch
 
     def check_model(self, model: dict[int, bool]) -> bool:
         """True when model assigns every variable and satisfies every clause."""

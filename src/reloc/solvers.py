@@ -50,7 +50,7 @@ from . import satcore as satmod
 def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
                 refine: bool) -> SolveResult:
     """Raise the cost bound xi from the lower bound until the formula
-    encode(xi, records) yields a plan without collisions.
+    encode(xi, sorted records, deadline) yields a plan without collisions.
 
     sat(formula, budget) answers each formula from scratch; with sat None one
     incremental SatSolver per bound answers it across refinements. With refine
@@ -65,7 +65,10 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
         return finish(stats, t0, STATUS_UNSOLVABLE)
     records: set[Collision] = set()
     for xi in range(lower_bound(inst), cap + 1):
-        formula, vm = encode(xi, records)
+        try:
+            formula, vm = encode(xi, sorted(records), deadline)
+        except TimeoutError:
+            return finish(stats, t0, STATUS_TIMEOUT)
         stats.clauses = len(formula.clauses)
         stats.variables = formula.num_vars
         solver = satmod.SatSolver(formula.num_vars, formula.clauses) if sat is None else None
@@ -123,7 +126,7 @@ def mdd_sat_solve(inst: Instance, timeout: float | None = None,
                   sat=None) -> SolveResult:
     """Optimal solve by eager encoding of increasing cost bounds."""
     return _bound_loop(inst, timeout, "mddsat",
-                       lambda xi, records: encode_full(inst, xi),
+                       lambda xi, _, deadline: encode_full(inst, xi, deadline=deadline),
                        sat or satmod.solve, refine=False)
 
 
@@ -136,5 +139,5 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
     formula from scratch after every refinement.
     """
     return _bound_loop(inst, timeout, "smtcbs",
-                       lambda xi, records: encode_basic(inst, xi, sorted(records)),
+                       lambda xi, records, deadline: encode_basic(inst, xi, records, deadline),
                        sat, refine=True)

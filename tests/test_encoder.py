@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from reloc import encoder
 from reloc.bench import suite_instance
 from reloc.encoder import (
     Mdd,
@@ -417,6 +419,114 @@ def test_full_encodings_are_pinned():
                 f, _ = encode_full(inst, xi)
                 digest.update(repr((f.num_vars, f.clauses)).encode())
     assert digest.hexdigest() == FULL_ENCODING_SHA256
+
+
+# sha256 of repr((num_vars, clauses)) of 24 formulas on 8x8 grids: encode_full,
+# and encode_basic with every 7th of the sorted rule records, at LB and LB+1
+# of MAPF k=5 and TSWAP and TPERM k=6, seeds 0-1; pinned like the one above
+GRID8_ENCODING_SHA256 = "b28fc7e3996fa018b2d87ae6be2fe11ed3314d3e64be2580748246ca90a24ca8"
+
+
+def test_grid8_encodings_are_pinned():
+    digest = hashlib.sha256()
+    for variant, k in ((Variant.MAPF, 5), (Variant.TSWAP, 6), (Variant.TPERM, 6)):
+        for seed in range(2):
+            inst = suite_instance("grid8", variant, k, seed)
+            lb = lower_bound(inst)
+            for xi in (lb, lb + 1):
+                f, vm = encode_full(inst, xi)
+                digest.update(repr((f.num_vars, f.clauses)).encode())
+                f, _ = encode_basic(inst, xi, sorted(rule_records(vm))[::7])
+                digest.update(repr((f.num_vars, f.clauses)).encode())
+    assert digest.hexdigest() == GRID8_ENCODING_SHA256
+
+
+# --- the variable tables ------------------------------------------------------
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_varmap_accessors_answer_none_off_the_mdds(variant):
+    # x, e and u name a variable exactly on the MDDs and the unsettled
+    # window, also at t = -1 and t = mu + 1, where a list-indexed table would
+    # wrap or overrun; items_at is the k-scan of the MDD levels
+    for seed in range(3):
+        inst = small_instance(variant, seed)
+        n, lb = inst.graph.n, lower_bound(inst)
+        dist = effective_distances(inst)
+        for xi in (lb, lb + 2):
+            f, vm = encode_basic(inst, xi)
+            assert vm.mu == makespan_bound(inst, xi)
+            named = []
+            for t in range(-1, vm.mu + 2):
+                for v in range(n):
+                    assert vm.items_at(v, t) == [
+                        i for i, mdd in enumerate(vm.mdds)
+                        if 0 <= t <= vm.mu and v in mdd.levels[t]
+                    ]
+            for i, mdd in enumerate(vm.mdds):
+                d = dist(inst.starts[i], inst.goals[i])
+                for t in range(-1, vm.mu + 2):
+                    level = mdd.levels[t] if 0 <= t <= vm.mu else ()
+                    arcs = mdd.arcs[t] if 0 <= t < vm.mu else ()
+                    for v in range(n):
+                        assert (vm.x(i, v, t) is not None) == (v in level)
+                        for u in range(n):
+                            assert (vm.e(i, u, v, t) is not None) == ((u, v) in arcs)
+                    assert (vm.u(i, t) is not None) == (d <= t < d + xi - lb)
+                named += [vm.x(i, v, t) for t, level in enumerate(mdd.levels) for v in level]
+                named += [vm.e(i, u, v, t) for t, arcs in enumerate(mdd.arcs) for u, v in arcs]
+            assert vm.unsettled_vars() == [
+                vm.u(i, t) for i in range(inst.k)
+                for t in range(dist(inst.starts[i], inst.goals[i]), vm.mu + 1)
+                if vm.u(i, t) is not None
+            ]
+            # X and E item by item, then U: one consecutive run from 1
+            named += vm.unsettled_vars()
+            assert named == list(range(1, len(named) + 1))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_encodings_read_the_tables_not_the_accessors(variant, monkeypatch):
+    # the bulk sections and the grounding of rule_records look variables up
+    # in the per-level tables; a per-literal x or e call in their loops fails
+    inst = small_instance(variant, 0)
+    xi = lower_bound(inst) + 1
+    want_basic, _ = encode_basic(inst, xi)
+    want_full, vm = encode_full(inst, xi)
+    records = list(rule_records(vm))
+
+    def accessor(*args):
+        raise AssertionError("VarMap accessor called in an encoding loop")
+
+    monkeypatch.setattr(VarMap, "x", accessor)
+    monkeypatch.setattr(VarMap, "e", accessor)
+    got_basic, vm = encode_basic(inst, xi)
+    assert got_basic.clauses == want_basic.clauses
+    grounded = [clause_for_record(rec, vm) for rec in rule_records(vm)]
+    assert got_basic.clauses + [c for c in grounded if c is not None] == want_full.clauses
+    assert list(rule_records(vm)) == records
+
+
+def test_the_deadline_is_checked_per_item_and_time_step(monkeypatch):
+    # never per clause: an encoding looks at the clock a fixed number of
+    # times, and raises TimeoutError at the first look past the deadline
+    now = []
+    monkeypatch.setattr(encoder, "time",
+                        SimpleNamespace(monotonic=lambda: now.append(1) or len(now)))
+    for variant in Variant:
+        inst = small_instance(variant, 1)
+        xi = lower_bound(inst) + 1
+        now.clear()
+        encode_basic(inst, xi, deadline=10**9)
+        assert len(now) == 2 * inst.k  # VarMap and the path clauses
+        now.clear()
+        _, vm = encode_full(inst, xi, deadline=10**9)
+        per_item = 4 if variant == Variant.TROT else 3  # and the per-arc records
+        assert len(now) == per_item * inst.k + vm.mu + 1  # and the vertex pairs
+        for deadline in (0, inst.k, 2 * inst.k + 1):
+            now.clear()
+            with pytest.raises(TimeoutError):
+                encode_full(inst, xi, deadline=deadline)
+            assert len(now) == deadline + 1
 
 
 def test_records_sort_kind_major_then_by_fields():

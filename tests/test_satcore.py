@@ -71,6 +71,28 @@ def test_formula_rejects_unallocated_literals():
         f.add_clause([0])
 
 
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_add_clauses_rejects_a_bad_literal_and_appends_nothing(bad):
+    f = formula_of(3, [[1, -2]])
+    before = [list(c) for c in f.clauses]
+    with pytest.raises(SatError, match=f"^literal {bad} references an unallocated variable$"):
+        f.add_clauses([[1, 2], [-3, 3], [2, bad, 5], [1]])
+    assert f.clauses == before
+    # the message names the first bad literal, as add_clause does
+    with pytest.raises(SatError, match=f"^literal {bad} references"):
+        f.add_clause([3, bad])
+    assert f.clauses == before
+
+
+def test_add_clauses_appends_in_order_and_accepts_an_empty_batch():
+    f = formula_of(3, [[1]])
+    f.add_clauses([])
+    assert f.clauses == [[1]]
+    f.add_clauses([[-3, 2], [3], [-1, -2, -3]])
+    f.add_clauses([[]])  # an empty clause is a clause, as with add_clause
+    assert f.clauses == [[1], [-3, 2], [3], [-1, -2, -3], []]
+
+
 def test_check_model():
     f = formula_of(2, [[1, 2], [-1]])
     assert f.check_model({1: False, 2: True})

@@ -138,6 +138,29 @@ def test_timeout_comes_back_within_the_budget_on_8x8(solver):
     assert elapsed <= 3 + 1.5
 
 
+@pytest.mark.parametrize("solver,name", [(mdd_sat_solve, "encode_full"),
+                                         (smt_cbs_solve, "encode_basic")])
+def test_a_budget_of_about_zero_ends_in_the_encoder_on_8x8(solver, name, monkeypatch):
+    # the bound loop hands the solve's deadline to the encoder, which raises
+    # TimeoutError once it has passed; the solve then answers timeout
+    raised = []
+
+    def encode(*args, real=getattr(solvers, name), **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except TimeoutError:
+            raised.append(name)
+            raise
+
+    monkeypatch.setattr(solvers, name, encode)
+    inst = suite_instance("grid8", Variant.MAPF, 16, 0)
+    t0 = time.monotonic()
+    res = solver(inst, timeout=1e-6)
+    assert res.status == "timeout" and res.plan is None
+    assert time.monotonic() - t0 <= 1e-6 + 0.25
+    assert raised == [name]
+
+
 # --- the bound loop's guards ---------------------------------------------------
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -146,8 +169,8 @@ def test_a_plan_above_its_bound_is_rejected(solver, monkeypatch):
     # the cost counter, so its models may cost more than the bound they answer
     cost_vars = {}
     for name in ("encode_full", "encode_basic"):
-        def encode(*args, real=getattr(solvers, name)):
-            formula, vm = real(*args)
+        def encode(*args, real=getattr(solvers, name), **kwargs):
+            formula, vm = real(*args, **kwargs)
             cost_vars[formula] = min(vm.unsettled_vars(), default=formula.num_vars + 1)
             return formula, vm
         monkeypatch.setattr(solvers, name, encode)
