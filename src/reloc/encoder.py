@@ -22,7 +22,8 @@ the U variables item by item. Its tables are one dict per item and level,
 xs[i][t] from vertex to X and es[i][t] from arc (u, v) to E (es[i][mu] is
 empty), and the list us[i] of U(i, d_i), U(i, d_i + 1), ... Each section of
 an encoding reads them through locals and hands the formula its clauses in
-one batch.
+one batch. VarMap.extend grows them in place to a higher bound, whose MDDs
+contain the lower one's, as a Session does across a lazy solve.
 
 A movement rule is posted as the clauses of collision records
 (relocation.Collision), each grounded by clause_for_record through the one
@@ -44,7 +45,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, count, islice, repeat
+from itertools import chain, combinations, count, islice, repeat
+from operator import itemgetter
 
 from .graphs import INF
 from .relocation import (
@@ -123,16 +125,29 @@ class VarMap:
     accessors x, e, u and items_at answer None or [] off the MDDs."""
 
     def __init__(self, formula: CnfFormula, inst: Instance, xi: int, deadline=None):
-        self.inst, self.xi = inst, xi
-        self.dists, self.delta, self.mu = _bound(inst, xi)
-        self.mdds, self.xs, self.es = [], [], []
+        self.inst = inst
+        self.xs, self.es, self.us = ([[] for _ in range(inst.k)] for _ in range(3))
+        self.extend(formula, xi, deadline)
+
+    def extend(self, formula: CnfFormula, xi: int, deadline=None) -> None:
+        """Grow the tables in place to a bound xi at least self.xi: what is
+        new is numbered after formula.num_vars, in a fresh VarMap's order."""
+        self.xi = xi
+        self.dists, self.delta, self.mu = _bound(self.inst, xi)
+        self.__dict__.pop("occupants", None)
+        self.mdds = []
         ids = count(formula.num_vars + 1)  # zip stops before drawing past a level
-        for i in range(inst.k):
+        for i, (xs, es) in enumerate(zip(self.xs, self.es)):
             _check(deadline)
-            self.mdds.append(build_mdd(inst, i, xi))
-            self.xs.append([dict(zip(level, ids)) for level in self.mdds[i].levels])
-            self.es.append([dict(zip(arcs, ids)) for arcs in self.mdds[i].arcs + ((),)])
-        self.us = [list(islice(ids, self.delta)) for _ in range(inst.k)]
+            self.mdds.append(mdd := build_mdd(self.inst, i, xi))
+            xs += ({} for _ in range(len(xs), self.mu + 1))
+            es += ({} for _ in range(len(es), self.mu + 1))  # es[i][mu] stays empty
+            for table, level in zip(xs, mdd.levels):
+                table.update(zip([v for v in level if v not in table] if table else level, ids))
+            for table, arcs in zip(es, mdd.arcs):
+                table.update(zip([a for a in arcs if a not in table] if table else arcs, ids))
+        for us in self.us:
+            us += islice(ids, self.delta - len(us))
         formula.num_vars = next(ids) - 1
 
     def x(self, i, v, t):
@@ -163,68 +178,94 @@ class VarMap:
         return self.occupants[t].get(v, []) if 0 <= t <= self.mu else []
 
 
-def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> None:
-    """Sequential-counter cardinality constraint sum(lits) <= k."""
+def at_most_k(formula: CnfFormula, lits: list[int], k: int, guard=None,
+              registers=()) -> None:
+    """Sequential-counter cardinality constraint sum(lits) <= k (or guard),
+    whose registers are the variables of registers, then new ones."""
     n = len(lits)
     if k >= n:
         return
     if k == 0:
-        formula.add_clauses([[-lit] for lit in lits])
-        return
-    # registers s[i][j]: at least j+1 of the first i+1 literals are true
-    s = [[formula.new_var() for _ in range(k)] for _ in range(n)]
-    clauses = [[-lits[0], s[0][0]]] + [[-s[0][j]] for j in range(1, k)]
-    for i in range(1, n):
-        clauses += [-lits[i], s[i][0]], [-s[i - 1][0], s[i][0]]
-        for j in range(1, k):
-            clauses += [-lits[i], -s[i - 1][j - 1], s[i][j]], [-s[i - 1][j], s[i][j]]
-        clauses.append([-lits[i], -s[i - 1][k - 1]])
-    formula.add_clauses(clauses)
+        clauses = [[-lit] for lit in lits]
+    else:
+        # registers s[i][j]: at least j+1 of the first i+1 literals are true
+        ids = chain(registers, iter(formula.new_var, None))
+        s = [[next(ids) for _ in range(k)] for _ in range(n)]
+        clauses = [[-lits[0], s[0][0]]] + [[-s[0][j]] for j in range(1, k)]
+        for i in range(1, n):
+            clauses += [-lits[i], s[i][0]], [-s[i - 1][0], s[i][0]]
+            for j in range(1, k):
+                clauses += [-lits[i], -s[i - 1][j - 1], s[i][j]], [-s[i - 1][j], s[i][j]]
+            clauses.append([-lits[i], -s[i - 1][k - 1]])
+    formula.add_clauses(clauses if guard is None else [c + [guard] for c in clauses])
 
 
-def _encode_paths(vm: VarMap, deadline) -> list[list[int]]:
-    """Single-item consistency: endpoints, arc choice, arc effects, arrivals."""
+def _encode_paths(vm: VarMap, deadline, base=0, guard=None) -> list[list[int]]:
+    """Single-item consistency: endpoints, arc choice, arc effects, arrivals.
+
+    With a guard, only what a session's bound adds. A node (v, t) of item i
+    has all its arcs once its slack, d_i + delta - t - dist(v, g_i) less 2
+    (out) or 0 (in), is >= 0, as a neighbour is at most one step further."""
     inst, mu = vm.inst, vm.mu
+    rows = effective_distances(inst).dist
     clauses = []
     add = clauses.append
+
+    def growing(clause, slack):  # guarded, for good, or None: posted before
+        if slack < 0:
+            return clause + [guard]
+        return clause if slack == 0 or -clause[0] > base else None
+
     for i, (xs, es) in enumerate(zip(vm.xs, vm.es)):
         _check(deadline)
-        add([xs[0][inst.starts[i]]])
-        if mu > 0 or inst.goals[i] != inst.starts[i]:
-            add([xs[mu][inst.goals[i]]])
+        start, goal = xs[0][inst.starts[i]], inst.goals[i]
+        if start > base:
+            add([start])
+        if mu > 0 or goal != inst.starts[i]:
+            add([xs[mu][goal]] if guard is None else [xs[mu][goal], guard])
+        to_g, budget = rows[goal], vm.dists[i] + vm.delta
         arrivals = []  # per level, v -> [-X(v), its in-arcs...]
-        for here, there, arcs in zip(xs, xs[1:], es):
+        for t, (here, there, arcs) in enumerate(zip(xs, xs[1:], es)):
             outgoing = {u: [-xu] for u, xu in here.items()}
             incoming = {v: [-xv] for v, xv in there.items()}
             for (u, v), ev in arcs.items():
-                add([-ev, here[u]])
-                add([-ev, there[v]])
+                if ev > base:
+                    add([-ev, here[u]])
+                    add([-ev, there[v]])
                 outgoing[u].append(ev)
                 incoming[v].append(ev)
-            for out in outgoing.values():
-                add(out)
-                if len(out) > 2:
-                    clauses += ([-a, -b] for a, b in combinations(out[1:], 2))
+            for u, out in outgoing.items():
+                if guard is None:
+                    add(out)
+                elif (clause := growing(out, budget - t - 2 - to_g[u])):
+                    add(clause)
+                if len(out) > 2 and out[-1] > base:
+                    # a node's new arcs follow its old ones
+                    clauses += ([-a, -b] for a, b in combinations(out[1:], 2) if b > base)
+            if guard is not None:
+                incoming = {v: growing(c, budget - t - 1 - to_g[v]) for v, c in incoming.items()}
             arrivals.append(incoming.values())
         for incoming in arrivals:
-            clauses += incoming
+            clauses += filter(None, incoming) if guard is not None else incoming
     return clauses
 
 
-def _encode_cost(formula: CnfFormula, vm: VarMap) -> None:
-    """Tie unsettled flags to goal occupancy and cap total slack at delta."""
+def _encode_cost(formula: CnfFormula, vm: VarMap, base=0, guard=None, registers=()) -> None:
+    """Tie unsettled flags to goal occupancy and cap total slack at delta
+    (with a guard: the new ties, and the cap guarded)."""
     delta = vm.delta
     if delta == 0:
         return
     clauses = []
     for xs, us, d, g in zip(vm.xs, vm.us, vm.dists, vm.inst.goals):
         for t, uv in enumerate(us):
-            xg = xs[d + t].get(g)
-            clauses.append([uv] if xg is None else [xg, uv])
-            if t + 1 < delta:
+            if uv > base:
+                xg = xs[d + t].get(g)
+                clauses.append([uv] if xg is None else [xg, uv])
+            if t + 1 < delta and us[t + 1] > base:
                 clauses.append([-us[t + 1], uv])
     formula.add_clauses(clauses)
-    at_most_k(formula, vm.unsettled_vars(), delta)
+    at_most_k(formula, vm.unsettled_vars(), delta, guard, registers)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +361,70 @@ def rule_records(vm: VarMap, deadline=None):
                     yield Collision(KIND_ROT, t, i, v, j, u)
 
 
-def encode_basic(inst: Instance, xi: int, records=(), deadline=None) -> tuple[CnfFormula, VarMap]:
+def encode_basic(inst: Instance, xi: int, records=(), deadline=None,
+                 session=None) -> tuple[CnfFormula, VarMap]:
     """Relaxed encoding: path consistency and cost only, plus clauses for the
-    given conflict records. A superset of assignments of the full encoding."""
+    given conflict records. A superset of assignments of the full encoding.
+    With a Session, the formula holds only what bound xi adds to it, and the
+    VarMap is the session's, grown to xi."""
+    if session is not None:
+        return session.grow(inst, xi, records, deadline)
     formula = CnfFormula()
     vm = VarMap(formula, inst, xi, deadline)
     formula.add_clauses(_encode_paths(vm, deadline))
     _encode_cost(formula, vm)
     _add_records(formula, vm, records)
     return formula, vm
+
+
+class Session:
+    """One lazy solve's formula, grown per bound for one SatSolver (Een &
+    Sorensson 2003). A bound posts only what it adds: for good, what holds at
+    every higher bound (start units, arc effects and at-most-one pairs, the
+    unsettled flags' ties and chain, the arc-choice and arrival clauses of
+    nodes whose arcs stopped growing, binary records); with guard, the
+    negated activation literal a of the bound, the rest (goal units, other
+    arc-choice and arrival clauses, the counter, swap and empty records).
+    The solver assumes a; asserting spent retires the bound, which frees the
+    counter's registers for the next one."""
+
+    def __init__(self):
+        self.vm = self.guard = None
+        self.num_vars = self.permanent = self.live = 0
+        self.spent: list[int] = []  # asserting these retires the current bound
+        self.registers: list[int] = []  # counter variables, free once retired
+        self.posted: set[Collision] = set()  # records with a clause for good
+
+    def grow(self, inst: Instance, xi: int, records, deadline=None):
+        formula = CnfFormula()
+        formula.num_vars = base = self.num_vars
+        if self.vm is None:
+            self.vm = VarMap(formula, inst, xi, deadline)
+        else:
+            self.vm.extend(formula, xi, deadline)
+        vm, a = self.vm, formula.new_var()
+        self.guard = -a
+        formula.add_clauses(_encode_paths(vm, deadline, base, -a))
+        _encode_cost(formula, vm, base, -a, self.registers)
+        self.registers += range(a + 1, formula.num_vars + 1)
+        self.spent = [-a]
+        guarded = list(map(itemgetter(-1), formula.clauses)).count(-a)
+        self.permanent += len(formula.clauses) - guarded
+        self.live = self.permanent + guarded
+        for rec in records:
+            if rec not in self.posted and (clause := clause_for_record(rec, vm)):
+                formula.add_clause(self.post(rec, clause))
+        self.num_vars = formula.num_vars
+        return formula, vm
+
+    def post(self, rec: Collision, clause: list[int]) -> list[int]:
+        """The clause of record rec at the current bound, as posted."""
+        self.live += 1
+        if rec.kind in (KIND_SWAP, KIND_EMPTY):
+            return clause + [self.guard]
+        self.posted.add(rec)
+        self.permanent += 1
+        return clause
 
 
 def encode_full(inst: Instance, xi: int, deadline=None) -> tuple[CnfFormula, VarMap]:

@@ -14,12 +14,18 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are stored as (u, v) pairs with u < v; adjacency lists are sorted
-    and symmetric by construction.
+    and symmetric by construction. The hash is the fields' hash, worked out once.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
     adj: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.n, self.edges, self.adj)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress, count, islice
 from operator import neg
 
 
@@ -125,14 +125,15 @@ class SatSolver:
 
     SatSolver(num_vars, clauses) loads a clause list in bulk. It leaves the
     state a loop of add_clause calls leaves on the fresh solver, and keeps
-    its own copy of every clause.
+    its own copy of every clause; add_clauses loads more at level 0, and
+    simplify retires the clauses of an activation literal's negation.
 
     Per-literal state is indexed by the literal itself: entry lit for
     lit > 0 and Python's negative indexing for lit < 0, so entry 0 is unused
     and a list for n variables has 2n + 1 entries.
     """
 
-    def __init__(self, num_vars: int = 0, clauses=()):
+    def __init__(self, num_vars: int = 0, clauses=(), deadline=None):
         self.num_vars = 0
         self.clauses: list[list[int]] = []  # original + learned
         self.is_learned: list[bool] = []
@@ -157,8 +158,9 @@ class SatSolver:
         self.conflicts_total = 0
         self._seen: list[bool] = [False]
         self._units: list[int] = []
+        self._assumed: list[int] = []  # the assumptions the trail was built under
         self.ensure_vars(num_vars)
-        self._load(clauses)
+        self._load(clauses, deadline)
 
     def ensure_vars(self, n: int) -> None:
         old = self.num_vars
@@ -180,25 +182,38 @@ class SatSolver:
         # them in order keeps the heap property
         self.order += [(0.0, v) for v in range(old + 1, n + 1)]
 
-    def _load(self, clauses) -> None:
-        """Bulk add_clause on an empty trail: skip tautologies, drop
-        duplicate literals, queue units, watch the first two literals."""
+    def add_clauses(self, num_vars: int, clauses, deadline=None) -> None:
+        """Bulk add_clause at level 0 of clauses over distinct variables each;
+        the next solve() propagates level 0 again."""
+        self._backtrack(0)
+        self.qhead = 0
+        self.ensure_vars(num_vars)
+        self._load(clauses, deadline, distinct=True)
+
+    def _load(self, clauses, deadline=None, distinct=False) -> None:
+        """Bulk add_clause at level 0: skip tautologies and drop duplicate
+        literals (unless distinct), queue units, watch the first two literals.
+        The deadline is checked every 4,096 clauses; past it, TimeoutError."""
         units = self._units
         long = []
-        for lits in clauses:
-            if len(set(map(abs, lits))) < len(lits):
-                # a repeated variable: a tautology or a duplicate literal
-                if not set(lits).isdisjoint(map(neg, lits)):
-                    continue
-                lits = list(dict.fromkeys(lits))
-            else:
-                lits = list(lits)
-            if len(lits) > 1:
-                long.append(lits)
-            elif lits:
-                units.append(lits[0])
-            else:
-                self.unsat = True
+        clauses = iter(clauses)
+        while chunk := list(islice(clauses, 4096)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("clause loading ran past its deadline")
+            for lits in chunk:
+                if not distinct and len(set(map(abs, lits))) < len(lits):
+                    # a repeated variable: a tautology or a duplicate literal
+                    if not set(lits).isdisjoint(map(neg, lits)):
+                        continue
+                    lits = list(dict.fromkeys(lits))
+                else:
+                    lits = list(lits)
+                if len(lits) > 1:
+                    long.append(lits)
+                elif lits:
+                    units.append(lits[0])
+                else:
+                    self.unsat = True
         self.ensure_vars(max(map(abs, chain(units, *long)), default=0))
         watches = self.watches
         for ci, lits in enumerate(long, len(self.clauses)):
@@ -278,29 +293,29 @@ class SatSolver:
 
     def _reduce_db(self) -> None:
         """Drop the older half of long learned clauses (call at level 0)."""
-        long_idx = [
-            ci
-            for ci, clause in enumerate(self.clauses)
-            if self.is_learned[ci] and len(clause) > 3
-        ]
+        long_idx = [ci for ci, clause in enumerate(self.clauses)
+                    if self.is_learned[ci] and len(clause) > 3]
         drop = set(long_idx[: len(long_idx) // 2])
-        clauses = []
-        flags = []
-        for ci, clause in enumerate(self.clauses):
-            if ci not in drop:
-                clauses.append(clause)
-                flags.append(self.is_learned[ci])
-        self.clauses = clauses
-        self.is_learned = flags
-        self.n_learned = sum(flags)
-        watches = self.watches
-        for lit in range(1, len(watches)):
-            watches[lit] = []
+        self._keep([ci for ci in range(len(self.clauses)) if ci not in drop])
+
+    def simplify(self, units=()) -> None:
+        """Assert units at level 0 and drop every clause level 0 satisfies."""
+        self._backtrack(0)
+        for lit in units:
+            self._enqueue(lit, -1)
+        self._keep(list(compress(count(), map(set(self.trail).isdisjoint, self.clauses))))
+
+    def _keep(self, kept: list[int]) -> None:
+        """Keep the clauses of the ascending indices kept, each watched by
+        its first two literals (call at level 0)."""
+        self.clauses = list(map(self.clauses.__getitem__, kept))
+        self.is_learned = list(map(self.is_learned.__getitem__, kept))
+        self.n_learned = sum(self.is_learned)
+        self.watches = watches = [[] for _ in self.watches]
         for ci, clause in enumerate(self.clauses):
             watches[-clause[0]].append(ci)
             watches[-clause[1]].append(ci)
-        for v in range(1, self.num_vars + 1):
-            self.reason[v] = -1  # only level-0 assignments remain
+        self.reason[1:] = [-1] * self.num_vars  # only level-0 assignments remain
         self.qhead = 0
 
     def _enqueue(self, lit: int, reason: int) -> bool:
@@ -499,13 +514,19 @@ class SatSolver:
                 return v if self.phase[v] else -v
         return 0
 
-    def solve(self, deadline: float | None = None):
+    def solve(self, deadline: float | None = None, assumptions=()):
         """Return a model dict {var: bool}, "UNSAT", or "TIMEOUT".
 
+        Assumptions are decided first, one per level (MiniSat); "UNSAT" is
+        then under them, and only a conflict at level 0 sets unsat for good.
         The deadline is checked at every conflict and every 64th decision.
         """
         if self.unsat:
             return "UNSAT"
+        assumptions = list(assumptions)
+        if assumptions != self._assumed:
+            self._backtrack(0)
+            self._assumed = assumptions
         if self._units:
             self._backtrack(0)
             self.qhead = 0
@@ -547,17 +568,27 @@ class SatSolver:
                     if self.n_learned > 8000 + 2 * (len(self.clauses) - self.n_learned):
                         self._reduce_db()
                     continue
-                lit = self._decide()
-                if lit == 0:
-                    # keep the trail: incremental callers add clauses against
-                    # this model and resume from the surviving prefix
-                    vals = self.vals
-                    return {v: vals[v] == 1 for v in range(1, self.num_vars + 1)}
-                decisions += 1
-                if (not decisions & 63 and deadline is not None
-                        and time.monotonic() > deadline):
-                    self._backtrack(0)
-                    return "TIMEOUT"
+                if assumptions and len(self.trail_lim) < len(assumptions):
+                    lit = assumptions[len(self.trail_lim)]
+                    if self.vals[lit] == -1:
+                        self._backtrack(0)
+                        return "UNSAT"
+                    if self.vals[lit] == 1:
+                        # an empty level keeps level d + 1 on assumption d
+                        self.trail_lim.append(len(self.trail))
+                        continue
+                else:
+                    lit = self._decide()
+                    if lit == 0:
+                        # keep the trail: incremental callers add clauses against
+                        # this model and resume from the surviving prefix
+                        vals = self.vals
+                        return {v: vals[v] == 1 for v in range(1, self.num_vars + 1)}
+                    decisions += 1
+                    if (not decisions & 63 and deadline is not None
+                            and time.monotonic() > deadline):
+                        self._backtrack(0)
+                        return "TIMEOUT"
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
 
@@ -570,7 +601,10 @@ def solve(f: CnfFormula, timeout: float | None = None):
     against the clause list before being handed out.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    s = SatSolver(f.num_vars, f.clauses)
+    try:
+        s = SatSolver(f.num_vars, f.clauses, deadline)
+    except TimeoutError:
+        return "TIMEOUT"
     if s.unsat:
         return "UNSAT"
     if deadline is not None and time.monotonic() > deadline:

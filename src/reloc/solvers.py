@@ -12,9 +12,14 @@ only after a plan breaks it: each bound starts from the relaxed encoding plus
 the records learned so far, validates satisfying assignments against the
 movement rules, and adds the clauses of all violated rules before re-solving.
 An unsatisfiable relaxation is a proof that the full encoding is unsatisfiable
-too, so the bound can be raised. Records persist across bounds and are
-re-grounded against the new variable layout. Both ground records through the
-same clause_for_record, the encoder's one clause builder per record kind.
+too, so the bound can be raised. Records persist across bounds. Both ground
+records through the same clause_for_record, the encoder's one clause builder
+per record kind.
+
+With the internal solver, smt_cbs_solve is one encoder.Session on one
+SatSolver: a bound adds its new clauses, between solve calls and so outside
+sat_time, and guards those that grow with xi (see Session). Eager and an
+external solver get a fresh formula per bound, loaded inside the SAT call.
 
 A model whose plan costs more than its bound is not a model of the formula;
 it is rejected with satcore.SatError, so a faulty SAT backend never yields a
@@ -27,6 +32,7 @@ import time
 
 from .cbs import search_cap
 from .encoder import (
+    Session,
     clause_for_record,
     encode_basic,
     encode_full,
@@ -50,12 +56,14 @@ from . import satcore as satmod
 def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
                 refine: bool) -> SolveResult:
     """Raise the cost bound xi from the lower bound until the formula
-    encode(xi, sorted records, deadline) yields a plan without collisions.
+    encode(xi, sorted records, deadline, session) yields a plan without
+    collisions.
 
     sat(formula, budget) answers each formula from scratch; with sat None one
-    incremental SatSolver per bound answers it across refinements. With refine
-    off every plan must be collision-free; with it on the records of a plan's
-    collisions are kept, their clauses added, and the bound solved again.
+    SatSolver and one Session answer the whole solve, one bound at a time.
+    With refine off every plan must be collision-free; with it on the records
+    of a plan's collisions are kept, their clauses added, and the bound solved
+    again.
     """
     stats = SolveStats(algorithm=algorithm)
     t0 = time.monotonic()
@@ -64,14 +72,18 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
     if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
     records: set[Collision] = set()
+    session, solver = (Session(), satmod.SatSolver()) if sat is None else (None, None)
     for xi in range(lower_bound(inst), cap + 1):
         try:
-            formula, vm = encode(xi, sorted(records), deadline)
+            if solver is not None:
+                solver.simplify(session.spent)  # retire the last bound
+            formula, vm = encode(xi, sorted(records), deadline, session)
+            if solver is not None:
+                solver.add_clauses(formula.num_vars, formula.clauses, deadline)
         except TimeoutError:
             return finish(stats, t0, STATUS_TIMEOUT)
-        stats.clauses = len(formula.clauses)
+        stats.clauses = len(formula.clauses) if session is None else session.live
         stats.variables = formula.num_vars
-        solver = satmod.SatSolver(formula.num_vars, formula.clauses) if sat is None else None
         while True:
             budget = None if deadline is None else deadline - time.monotonic()
             if budget is not None and budget <= 0:
@@ -79,7 +91,8 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
             t1 = time.monotonic()
             # no model replay for the internal solver: satisfying assignments
             # are checked by plan extraction and validation
-            model = sat(formula, budget) if solver is None else solver.solve(deadline)
+            model = (sat(formula, budget) if solver is None
+                     else solver.solve(deadline, [-session.guard]))
             stats.sat_time += time.monotonic() - t1
             stats.sat_calls += 1
             if model == "TIMEOUT":
@@ -109,16 +122,16 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
                     continue
                 formula.add_clause(clause)
                 if solver is not None:
-                    solver.add_clause(clause)
+                    solver.add_clause(session.post(rec, clause))
                 added += 1
             if added == 0:
                 raise RuntimeError(
                     "refinement stalled: every collision clause already present"
                 )
             stats.refinements += added
-            stats.clauses = len(formula.clauses)
-        # free this bound's formula and solver before the next is encoded
-        formula = vm = solver = None
+            stats.clauses = len(formula.clauses) if session is None else session.live
+        # free this bound's formula before the next is encoded
+        formula = vm = None
     return finish(stats, t0, STATUS_LIMIT)
 
 
@@ -126,7 +139,7 @@ def mdd_sat_solve(inst: Instance, timeout: float | None = None,
                   sat=None) -> SolveResult:
     """Optimal solve by eager encoding of increasing cost bounds."""
     return _bound_loop(inst, timeout, "mddsat",
-                       lambda xi, _, deadline: encode_full(inst, xi, deadline=deadline),
+                       lambda xi, _, deadline, __: encode_full(inst, xi, deadline=deadline),
                        sat or satmod.solve, refine=False)
 
 
@@ -134,10 +147,11 @@ def smt_cbs_solve(inst: Instance, timeout: float | None = None,
                   sat=None) -> SolveResult:
     """Optimal solve by lazy encoding with validation-driven refinement.
 
-    With the internal solver each bound keeps one incremental SatSolver
-    across refinements; an external sat callable re-solves the accumulated
-    formula from scratch after every refinement.
+    With the internal solver the whole solve is one Session on one
+    incremental SatSolver; an external sat callable re-solves the
+    accumulated formula of the bound from scratch after every refinement.
     """
     return _bound_loop(inst, timeout, "smtcbs",
-                       lambda xi, records, deadline: encode_basic(inst, xi, records, deadline),
+                       lambda xi, records, deadline, session:
+                       encode_basic(inst, xi, records, deadline, session),
                        sat, refine=True)

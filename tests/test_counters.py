@@ -27,21 +27,21 @@ import run  # noqa: E402
 PINS = {
     ("desk", 48): {
         "cbs.ct_nodes": 202, "encoder.bounds": 182,
-        "encoder.clauses_built": 34733, "solvers.mddsat_clauses": 10242,
-        "solvers.smtcbs_clauses": 8740, "solvers.refinements": 185,
-        "satcore.conflicts": 197,
+        "encoder.clauses_built": 29427, "solvers.mddsat_clauses": 10242,
+        "solvers.smtcbs_clauses": 8748, "solvers.refinements": 193,
+        "satcore.conflicts": 205,
     },
     ("grid8-mapf", 12): {
         "cbs.ct_nodes": 306, "encoder.bounds": 38,
-        "encoder.clauses_built": 32032, "solvers.mddsat_clauses": 12502,
-        "solvers.smtcbs_clauses": 11656, "solvers.refinements": 94,
-        "satcore.conflicts": 70,
+        "encoder.clauses_built": 28907, "solvers.mddsat_clauses": 12502,
+        "solvers.smtcbs_clauses": 11646, "solvers.refinements": 84,
+        "satcore.conflicts": 47,
     },
     ("grid8-tokens", 12): {
         "cbs.ct_nodes": 8635, "encoder.bounds": 164,
-        "encoder.clauses_built": 249577, "solvers.mddsat_clauses": 38714,
-        "solvers.smtcbs_clauses": 30590, "solvers.refinements": 482,
-        "satcore.conflicts": 1645,
+        "encoder.clauses_built": 188539, "solvers.mddsat_clauses": 38714,
+        "solvers.smtcbs_clauses": 30629, "solvers.refinements": 521,
+        "satcore.conflicts": 1382,
     },
 }
 

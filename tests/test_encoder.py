@@ -43,7 +43,7 @@ from reloc.relocation import (
     random_permutation_instance,
     validate,
 )
-from reloc.satcore import CnfFormula, solve
+from reloc.satcore import CnfFormula, SatSolver, solve
 
 PATH4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -617,3 +617,51 @@ def test_encode_basic_with_records_appends_their_clauses():
     f1, vm1 = encode_basic(inst, xi, records=recs)
     assert len(f1.clauses) == len(f0.clauses) + len(recs)
     assert f1.num_vars == f0.num_vars
+
+
+# --- one session across bounds --------------------------------------------------
+
+def session_instances(variant):
+    """Seeded small instances: 3x3 grids, and random 7-vertex graphs."""
+    for seed in range(4):
+        yield small_instance(variant, seed)
+        g = make_random(7, 0.2, seed)
+        if variant == Variant.MAPF:
+            yield random_instance(g, variant, 3, seed)
+        else:
+            yield random_permutation_instance(g, variant, 4, seed)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_one_session_across_bounds_answers_like_fresh_encodings(variant):
+    # one Session and one SatSolver grown from LB to LB+3 with a fixed record
+    # list, plus the records of each plan's collisions as the lazy driver
+    # adds them: at every bound the live clauses count those of a fresh
+    # encode_basic, the answers agree, and every plan is a plan of cost <= xi
+    answers = set()
+    for inst in session_instances(variant):
+        lb = lower_bound(inst)
+        _, vm = encode_full(inst, lb + 3)
+        records = sorted(rule_records(vm))[::2]
+        session, solver = encoder.Session(), SatSolver()
+        for xi in range(lb, lb + 4):
+            solver.simplify(session.spent)
+            f, vm = encode_basic(inst, xi, records, session=session)
+            solver.add_clauses(f.num_vars, f.clauses)
+            for _ in range(2):
+                fresh, _ = encode_basic(inst, xi, records)
+                assert session.live == len(fresh.clauses)
+                got, want = solver.solve(assumptions=[-session.guard]), solve(fresh)
+                assert isinstance(got, dict) == isinstance(want, dict), (inst, xi)
+                answers.add(isinstance(got, dict))
+                if not isinstance(got, dict):
+                    break
+                plan = extract_plan(vm, got)
+                collisions = validate(inst, plan)  # raises on a broken path
+                assert plan.cost <= xi and plan.makespan == vm.mu
+                for rec in sorted({record_from_collision(c) for c in collisions} - set(records)):
+                    clause = clause_for_record(rec, vm)
+                    if clause is not None:
+                        solver.add_clause(session.post(rec, clause))
+                        records.append(rec)
+    assert answers == {True, False}

@@ -87,3 +87,21 @@ def test_distances_unreachable_is_inf():
     dt = all_pairs_distances(g)
     assert dt(0, 1) == 1
     assert dt(0, 2) == INF
+
+
+def test_equal_graphs_and_instances_hash_as_their_fields_do():
+    # Graph keeps the hash a frozen dataclass derives from its fields, worked
+    # out once; per-instance caches hash the graph on every lookup
+    from reloc.relocation import Instance, Variant
+
+    a = make_grid(3, 3)
+    b = build_graph(9, sorted(a.edges, reverse=True))
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.n, a.edges, a.adj))
+    assert a != make_grid(3, 2) and a != make_star(9)
+    ia = Instance(a, Variant.TSWAP, (0, 1), (1, 0))
+    ib = Instance(b, Variant.TSWAP, (0, 1), (1, 0))
+    assert ia == ib and hash(ia) == hash(ib)
+    assert hash(ia) == hash((a, Variant.TSWAP, (0, 1), (1, 0)))
+    assert ia != Instance(a, Variant.TPERM, (0, 1), (1, 0))
+    assert "_hash" not in repr(a)

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import time
 
 import pytest
 
@@ -297,13 +298,121 @@ def test_incremental_unit_after_model():
     assert isinstance(res, dict) and not res[picked]
 
 
+# --- assumptions and retirement -----------------------------------------------
+
+def satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def test_solve_under_assumptions_agrees_with_brute_force():
+    rng = random.Random(7)
+    unsat_under = 0
+    for trial in range(300):
+        nv = rng.randint(2, 8)
+        clauses = random_clauses(rng, nv, rng.randint(3, 4 * nv))
+        picked = rng.sample(range(1, nv + 1), rng.randint(0, min(3, nv)))
+        assumptions = [rng.choice([-1, 1]) * v for v in picked]
+        s = SatSolver(nv, clauses)
+        res = s.solve(assumptions=assumptions)
+        want = brute_force(nv, clauses + [[a] for a in assumptions])
+        if want is None:
+            assert res == "UNSAT", trial
+            # the answer under assumptions is not final unless the formula
+            # itself is unsatisfiable
+            assert s.unsat == (brute_force(nv, clauses) is None), trial
+            unsat_under += brute_force(nv, clauses) is not None
+        else:
+            assert isinstance(res, dict), trial
+            assert satisfies(res, clauses) and all(res[abs(a)] == (a > 0) for a in assumptions)
+        # and the solver answers correctly afterwards, without and with them
+        again = s.solve()
+        if brute_force(nv, clauses) is None:
+            assert again == "UNSAT", trial
+        else:
+            assert isinstance(again, dict) and satisfies(again, clauses), trial
+        assert isinstance(s.solve(assumptions=assumptions), dict) == (want is not None), trial
+    assert unsat_under > 20
+
+
+def test_unsat_under_assumptions_is_not_final():
+    # a -> x and a -> not x: refuted under a only
+    s = SatSolver(3, [[-1, 2], [-1, -2], [2, 3]])
+    assert s.solve(assumptions=[1]) == "UNSAT"
+    assert not s.unsat
+    model = s.solve()
+    assert isinstance(model, dict) and not model[1]
+    assert s.solve(assumptions=[1]) == "UNSAT"
+    model = s.solve(assumptions=[-2])
+    assert isinstance(model, dict) and model[3] and not model[2]
+    s.add_clause([-3])
+    assert s.solve(assumptions=[-2]) == "UNSAT" and not s.unsat
+    assert s.solve() == {1: False, 2: True, 3: False}
+    s.add_clause([-2])
+    assert s.solve() == "UNSAT" and s.unsat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_retired_guards_leave_every_clause_watched_by_its_first_two(seed):
+    # the clauses of each round carry the negation of its activation
+    # literal; a round is solved under its literal and retired by its
+    # negation, which drops every clause level 0 then satisfies
+    rng = random.Random(seed)
+    nv, rounds = 30, 4
+    s = SatSolver(nv)
+    kept = []
+    for r in range(rounds):
+        a = nv + 1 + r
+        permanent = random_3sat(rng, nv, 40).clauses
+        guarded = random_3sat(rng, nv, 60).clauses
+        kept += permanent
+        s.add_clauses(a, permanent + [c + [-a] for c in guarded])
+        res = s.solve(assumptions=[a])
+        want = SatSolver(nv, kept + guarded).solve()
+        assert isinstance(res, dict) == isinstance(want, dict)
+        if res != "UNSAT":
+            assert satisfies(res, kept + guarded) and res[a]
+        s.simplify([-a])
+        assert watched_by_first_two(s)
+        assert all(-a not in clause for clause in s.clauses)
+        level0 = set(s.trail)
+        assert all(level0.isdisjoint(clause) for clause in s.clauses)
+        assert s.n_learned == sum(s.is_learned)
+        res = s.solve()
+        if SatSolver(nv, kept).solve() == "UNSAT":
+            assert res == "UNSAT"
+            break
+        assert isinstance(res, dict) and satisfies(res, kept)
+    assert s.conflicts_total > 0
+
+
+def test_a_load_past_its_deadline_is_interrupted():
+    # the eager formula of MAPF k=16 at LB+10 has about 280,000 clauses,
+    # whose load alone takes about a second
+    from reloc.bench import suite_instance
+    from reloc.encoder import encode_full, lower_bound
+    from reloc.relocation import Variant
+
+    inst = suite_instance("grid8", Variant.MAPF, 16, 0)
+    f, _ = encode_full(inst, lower_bound(inst) + 10)
+    assert len(f.clauses) > 200_000
+    t0 = time.monotonic()
+    assert solve(f, timeout=1e-6) == "TIMEOUT"
+    assert time.monotonic() - t0 <= 0.25
+    with pytest.raises(TimeoutError):
+        SatSolver(f.num_vars, f.clauses, deadline=time.monotonic() + 0.01)
+    assert time.monotonic() - t0 <= 0.25
+
+
 # --- clause database upkeep ---------------------------------------------------
 
 def watched_by_first_two(s):
-    """True iff every clause sits in exactly the watch lists of its first two
-    literals, and the lists hold nothing else."""
+    """True iff every clause has two distinct variables first and sits in
+    exactly the watch lists of those two literals, and the lists hold
+    nothing else."""
     want = [[] for _ in s.watches]
     for ci, clause in enumerate(s.clauses):
+        if len(clause) < 2 or abs(clause[0]) == abs(clause[1]):
+            return False
         want[-clause[0]].append(ci)
         want[-clause[1]].append(ci)
     return [sorted(w) for w in s.watches] == want
