@@ -29,8 +29,16 @@ Each CT node does only the work the split uses. Conflict detection
 `relocation.step_collisions` and stops at the first step after which no
 collision can sort before the best one found; the low level
 (`pathfinder.constrained_shortest_path`) reads the item's ban sets as the
-CT node keeps them, a pair of frozensets per item. The tree is the same, node for node, as with a full validation
-of every joint plan.
+CT node keeps them, a pair of frozensets per item.
+
+A solve generates each tuple of bans once: a child whose bans equal those
+of any node generated before it (the root, or a child pushed, infeasible or
+over the cap) is dropped before it is planned, and each (item, states,
+moves) is planned once. A node's paths are a function of its bans, so a
+duplicate's subtree repeats that of its first copy, which has the same cost
+and a smaller counter. The first copies therefore pop in the same
+(cost, counter) order as without the rule, and the plan, ξ and status are
+the same; only the CT node count falls.
 """
 
 from __future__ import annotations
@@ -186,6 +194,8 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
     root = CTNode(((empty, empty),) * inst.k, tuple(root_paths),
                   sum(len(p) - 1 for p in root_paths))
 
+    seen = {root.bans}  # every ban tuple generated, pushed or not
+    planned = {}  # (item, states, moves) -> _replan's path or None
     counter = 0
     capped = False
     open_heap = [(root.cost, 0, root)]
@@ -211,10 +221,16 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
                 states = states | {ban}
             else:
                 moves = moves | {ban}
-            p = _replan(inst, adj, dist, item, states, moves)
+            child_bans = node.bans[:item] + ((states, moves),) + node.bans[item + 1:]
+            if child_bans in seen:
+                continue
+            seen.add(child_bans)
+            key = (item, states, moves)
+            if key not in planned:
+                planned[key] = _replan(inst, adj, dist, item, states, moves)
+            p = planned[key]
             if p is None:
                 continue
-            child_bans = node.bans[:item] + ((states, moves),) + node.bans[item + 1:]
             child_paths = node.paths[:item] + (tuple(p),) + node.paths[item + 1:]
             child_cost = node.cost - (len(node.paths[item]) - 1) + (len(p) - 1)
             if child_cost > cap:

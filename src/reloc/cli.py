@@ -187,22 +187,27 @@ def _missing_dir(option: str, path: str) -> bool:
     return True
 
 
+def _size(text: str, grid: bool) -> list[int]:
+    """The --size value: [N], or for grids also [W, H]."""
+    parts = text.split("x") if grid else [text]
+    if len(parts) > 2 or not _decimal(parts):
+        raise ValueError(f"--size {text!r}: expected {'N or WxH' if grid else 'N'}")
+    return [int(p) for p in parts]
+
+
 def _cmd_generate(args) -> int:
     if args.out != "-" and _missing_dir("--out", args.out):
         return EXIT_USAGE
     try:
+        size = _size(args.size, args.family == "grid")
         if args.family == "grid":
-            if "x" in args.size:
-                w, h = (int(p) for p in args.size.split("x", 1))
-            else:
-                w = h = int(args.size)
-            g = make_grid(w, h)
+            g = make_grid(size[0], size[-1])  # N is NxN
         elif args.family == "random":
-            g = make_random(int(args.size), args.extra, args.seed)
+            g = make_random(size[0], args.extra, args.seed)
         elif args.family == "star":
-            g = make_star(int(args.size))
+            g = make_star(size[0])
         else:
-            g = make_clique(int(args.size))
+            g = make_clique(size[0])
         variant = Variant(args.variant)
         generate = (random_permutation_instance if args.permutation
                     else random_instance)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 import time
 
 import pytest
 
+import reloc.cbs
 from reloc.cbs import (
     STATUS_SOLVED,
     STATUS_UNSOLVABLE,
@@ -119,6 +121,46 @@ def test_cbs_keeps_its_budget():
     elapsed = time.monotonic() - t0
     assert res.status == "timeout"
     assert elapsed <= budget + max(0.05 * budget, 0.25)
+
+
+# sha256 of repr((status, xi, paths)) of cbs_solve on grid3 k=3 (all four
+# variants) and grid8 k=6 (TSWAP, TPERM), seeds 0-2; computed with every
+# duplicate CT node expanded, so pruning duplicates must not move a plan
+CBS_PLANS_SHA256 = "83a3984de30441dd82515456f15a59202410589671a2827461814dd8a75da978"
+
+
+def test_cbs_plans_are_pinned():
+    digest = hashlib.sha256()
+    cases = [("grid3", v, 3) for v in Variant] + [
+        ("grid8", v, 6) for v in (Variant.TSWAP, Variant.TPERM)]
+    for family, variant, k in cases:
+        for seed in range(3):
+            res = cbs_solve(suite_instance(family, variant, k, seed))
+            paths = res.plan.paths if res.plan else None
+            digest.update(repr((res.status, res.xi, paths)).encode())
+    assert digest.hexdigest() == CBS_PLANS_SHA256
+
+
+def test_cbs_plans_each_item_ban_set_and_expands_each_ban_tuple_once(monkeypatch):
+    planned, pushed = [], []
+    search, make_node = reloc.cbs.constrained_shortest_path, reloc.cbs.CTNode
+
+    def plan(adj, dist, start, goal, states, moves, horizon):
+        planned.append((start, goal, states, moves))  # start and goal name the item
+        return search(adj, dist, start, goal, states, moves, horizon)
+
+    def node(bans, paths, cost):
+        pushed.append(bans)
+        return make_node(bans, paths, cost)
+
+    monkeypatch.setattr(reloc.cbs, "constrained_shortest_path", plan)
+    monkeypatch.setattr(reloc.cbs, "CTNode", node)
+    res = cbs_solve(suite_instance("grid8", Variant.TSWAP, 6, 0))
+    assert res.status == STATUS_SOLVED
+    assert len(set(planned)) == len(planned)
+    # every CT node is pushed once and expanded at most once
+    assert len(set(pushed)) == len(pushed) >= res.stats.ct_nodes
+    assert res.stats.ct_nodes == 228  # 451 with duplicates expanded
 
 
 def test_solvability_precheck():

@@ -300,6 +300,16 @@ def test_generate_checks_the_out_directory(tmp_path, capsys):
     assert err.startswith("error:") and "no such directory" in err
 
 
+@pytest.mark.parametrize("family,size,want", [
+    ("grid", "3x", "N or WxH"), ("grid", "3x3x3", "N or WxH"), ("star", "3x", "N"),
+])
+def test_generate_names_a_bad_size(capsys, family, size, want):
+    assert main(["generate", "--family", family, "--size", size,
+                 "--variant", "mapf", "--items", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: --size {size!r}: expected {want}\n"
+
+
 def test_bench_checks_the_out_directory_before_running(tmp_path, capsys,
                                                        monkeypatch):
     runs = []

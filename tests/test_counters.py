@@ -26,19 +26,19 @@ import run  # noqa: E402
 
 PINS = {
     ("desk", 48): {
-        "cbs.ct_nodes": 202, "encoder.bounds": 182,
+        "cbs.ct_nodes": 185, "encoder.bounds": 182,
         "encoder.clauses_built": 29427, "solvers.mddsat_clauses": 10242,
         "solvers.smtcbs_clauses": 8748, "solvers.refinements": 193,
         "satcore.conflicts": 205,
     },
     ("grid8-mapf", 12): {
-        "cbs.ct_nodes": 306, "encoder.bounds": 38,
+        "cbs.ct_nodes": 299, "encoder.bounds": 38,
         "encoder.clauses_built": 28907, "solvers.mddsat_clauses": 12502,
         "solvers.smtcbs_clauses": 11646, "solvers.refinements": 84,
         "satcore.conflicts": 47,
     },
     ("grid8-tokens", 12): {
-        "cbs.ct_nodes": 8635, "encoder.bounds": 164,
+        "cbs.ct_nodes": 3330, "encoder.bounds": 164,
         "encoder.clauses_built": 188539, "solvers.mddsat_clauses": 38714,
         "solvers.smtcbs_clauses": 30629, "solvers.refinements": 521,
         "satcore.conflicts": 1382,
