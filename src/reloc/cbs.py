@@ -51,14 +51,13 @@ from itertools import pairwise
 from .encoder import lower_bound
 from .graphs import INF
 from .pathfinder import constrained_shortest_path
+from .reachability import decide
 from .relocation import (
     Collision,
     Instance,
     KIND_OCCUPANCY,
     KIND_ROT,
     KIND_VERTEX,
-    TOKEN_VARIANTS,
-    Variant,
     effective_adjacency,
     effective_distances,
     make_plan,
@@ -73,7 +72,6 @@ from .result import (
     SolveStats,
     finish,
 )
-from . import oracle
 
 
 def cost_cutoff(inst: Instance) -> int:
@@ -81,32 +79,36 @@ def cost_cutoff(inst: Instance) -> int:
     return lower_bound(inst) + 4 * inst.graph.n * inst.graph.n
 
 
-def solvability_precheck(inst: Instance) -> bool | None:
+def solvability_precheck(inst: Instance, deadline: float | None = None) -> bool | None:
     """True/False when solvability is decidable cheaply, else None.
 
-    Infinite effective distance is always decisive. For TSWAP/TPERM finite
-    distances are also sufficient: the support stays fully occupied, and
-    swaps along the edges of a connected occupied subgraph realize every
-    permutation of the items on it. TROT falls back to exhaustive
-    reachability when there are few items: tokens never leave the support,
-    so the search visits at most k! configurations whatever the graph's
-    size. MAPF does so only when the graph is small as well.
+    The rules of `reachability.decide`, in order:
+
+    1. An item cut off from its goal: False.
+    2. TSWAP and TPERM: True, since swaps along the edges of a connected,
+       fully occupied support realize every permutation of its items.
+    3. MAPF on a 2-connected graph that is not a cycle, with at least two
+       empty vertices: True (Kornhauser, Miller & Spirakis, FOCS 1984).
+    4. MAPF on a cycle: True exactly when the goal keeps the start's cyclic
+       order of items.
+    5. TROT: membership of the start->goal permutation in the group
+       generated by rotations of the support's cycles, by Schreier-Sims
+       (Sims 1970); None when the cycle enumeration passes its limits.
+    6. Other MAPF with n <= 10 and k <= 5: a search over single-item moves,
+       exact because every legal parallel step splits into single moves
+       into vertices that were empty before the step.
+    7. Anything else: None.
+
+    Raises TimeoutError when rule 5 or 6 passes `deadline`.
     """
-    if lower_bound(inst) >= INF:
-        return False
-    if inst.variant in (Variant.TSWAP, Variant.TPERM):
-        return True
-    small = inst.variant in TOKEN_VARIANTS or inst.graph.n <= oracle.DEFAULT_VERTEX_CAP
-    if small and inst.k <= oracle.DEFAULT_ITEM_CAP:
-        return oracle.is_solvable(inst, vertex_cap=inst.graph.n)
-    return None
+    return decide(inst, deadline)[1]
 
 
-def search_cap(inst: Instance) -> int | None:
+def search_cap(inst: Instance, deadline: float | None = None) -> int | None:
     """Cost cap of an optimal search, or None when the precheck proves the
     instance unsolvable. A certified-solvable instance is searched without a
-    cap."""
-    solvable = solvability_precheck(inst)
+    cap. Raises TimeoutError when the precheck passes `deadline`."""
+    solvable = solvability_precheck(inst, deadline)
     if solvable is False:
         return None
     return INF if solvable else cost_cutoff(inst)
@@ -179,7 +181,10 @@ def cbs_solve(inst: Instance, timeout: float | None = None) -> SolveResult:
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     stats = SolveStats(algorithm="cbs")
-    cap = search_cap(inst)
+    try:
+        cap = search_cap(inst, deadline)
+    except TimeoutError:
+        return finish(stats, t0, STATUS_TIMEOUT)
     if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
 

@@ -68,7 +68,10 @@ def _bound_loop(inst: Instance, timeout, algorithm: str, encode, sat,
     stats = SolveStats(algorithm=algorithm)
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
-    cap = search_cap(inst)
+    try:
+        cap = search_cap(inst, deadline)
+    except TimeoutError:
+        return finish(stats, t0, STATUS_TIMEOUT)
     if cap is None:
         return finish(stats, t0, STATUS_UNSOLVABLE)
     records: set[Collision] = set()

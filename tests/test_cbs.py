@@ -17,7 +17,7 @@ from reloc.cbs import (
 )
 from reloc.bench import suite_instance
 from reloc.graphs import build_graph, make_clique, make_grid, make_star
-from reloc.oracle import oracle_solve
+from reloc.oracle import is_solvable, oracle_solve
 from reloc.relocation import (
     Collision,
     Instance,
@@ -173,6 +173,10 @@ def test_solvability_precheck():
     assert solvability_precheck(Instance(g, Variant.MAPF, (0,), (3,))) is False
 
 
+# the (k, seed) of the solvable suite_instance("grid8", TROT, k, seed), k = 6, 7
+TROT_GRID8_SOLVABLE = {(6, 0), (6, 1), (6, 2), (7, 2)}
+
+
 @pytest.mark.parametrize("solver", [cbs_solve, mdd_sat_solve, smt_cbs_solve])
 def test_few_trot_tokens_on_a_large_grid_are_proved_unsolvable(solver):
     # tokens never leave the support, so the reachability check stays small
@@ -181,9 +185,29 @@ def test_few_trot_tokens_on_a_large_grid_are_proved_unsolvable(solver):
     cases = [Instance(grid8, Variant.TROT, (0, 1), (1, 0))] + [
         suite_instance("grid8", Variant.TROT, k, seed)
         for k in (4, 5) for seed in range(5)
+    ] + [
+        suite_instance("grid8", Variant.TROT, k, seed)
+        for k in (6, 7) for seed in range(5)
+        if (k, seed) not in TROT_GRID8_SOLVABLE
     ]
     for inst in cases:
+        t0 = time.monotonic()
         assert solver(inst, timeout=0.1).status == STATUS_UNSOLVABLE, inst
+        assert time.monotonic() - t0 < 0.1, inst
+
+
+def test_trot_precheck_on_a_large_grid_matches_the_oracle():
+    for k in (6, 7):
+        for seed in range(5):
+            inst = suite_instance("grid8", Variant.TROT, k, seed)
+            answer = solvability_precheck(inst)
+            assert answer is ((k, seed) in TROT_GRID8_SOLVABLE)
+            assert answer is is_solvable(inst, vertex_cap=64, item_cap=7)
+    for k in (12, 16):
+        inst = suite_instance("grid8", Variant.TROT, k, 0)
+        t0 = time.monotonic()
+        assert isinstance(solvability_precheck(inst), bool)
+        assert time.monotonic() - t0 < 0.1
 
 
 def test_cbs_matches_oracle_on_small_instances():
