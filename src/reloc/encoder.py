@@ -29,7 +29,7 @@ A movement rule is posted as the clauses of collision records
 (relocation.Collision), each grounded by clause_for_record through the one
 clause builder of its kind (vertex, occupancy, swap, rot, empty). The basic
 encoding keeps only single-item path consistency plus cost accounting and
-grounds the records of the collisions that validation discovered. The full
+grounds the records of the collisions the lazy driver found. The full
 encoding adds rule_records(vm), every potential collision of the variant's
 rule: vertex, plus occupancy (MAPF), swap (TSWAP), empty (TPERM) or empty
 and rot (TROT). step_collisions names only the kinds of the variant's rule

@@ -5,6 +5,13 @@ Literals follow the DIMACS convention: nonzero ints, variable index v > 0,
 1UIP clause learning, VSIDS-style activities, phase saving and Luby restarts.
 It is deterministic and adequate for desk-scale formulas; external solvers
 can be plugged in through the DIMACS contract.
+
+A theory hook makes SatSolver a DPLL(T) solver (Nieuwenhuis, Oliveras &
+Tinelli, JACM 2006). At every propagation fixpoint solve() hands
+theory.check the literals assigned since its last call (a backtrack rewinds
+that position); it returns clauses those literals make false or unit. The
+solver attaches them for good; a unit clause propagates, and a false one is
+a conflict like any other: 1UIP analysis, a learned clause and a backjump.
 """
 
 from __future__ import annotations
@@ -128,10 +135,17 @@ class SatSolver:
     its own copy of every clause; add_clauses loads more at level 0, and
     simplify retires the clauses of an activation literal's negation.
 
+    Setting theory to an object with check(lits) -> clauses (see the module
+    docstring) checks a theory on every partial assignment; each clause
+    check returns has at least two literals, and all of them are false
+    under the current assignment but for at most one free literal.
+
     Per-literal state is indexed by the literal itself: entry lit for
     lit > 0 and Python's negative indexing for lit < 0, so entry 0 is unused
     and a list for n variables has 2n + 1 entries.
     """
+
+    theory = None
 
     def __init__(self, num_vars: int = 0, clauses=(), deadline=None):
         self.num_vars = 0
@@ -156,6 +170,8 @@ class SatSolver:
         self.var_inc = 1.0
         self.unsat = False
         self.conflicts_total = 0
+        self.theory_conflicts = 0  # of conflicts_total, those the theory found
+        self._checked = 0  # the trail prefix the theory has seen
         self._seen: list[bool] = [False]
         self._units: list[int] = []
         self._assumed: list[int] = []  # the assumptions the trail was built under
@@ -481,6 +497,7 @@ class SatSolver:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
+        self._checked = min(self._checked, bound)
         vals = self.vals
         activity = self.activity
         order = self.order
@@ -514,12 +531,35 @@ class SatSolver:
                 return v if self.phase[v] else -v
         return 0
 
+    def _theory_conflict(self, theory) -> int:
+        """Hand the theory the literals it has not seen and attach the clauses
+        it finds, each watched by its two deepest literals, non-false ones
+        first. A unit clause propagates; return the index of the first false
+        one, or -1."""
+        trail = self.trail
+        found = theory.check(trail[self._checked:])
+        self._checked = len(trail)
+        vals = self.vals
+        level = self.level
+        confl = -1
+        for lits in found:
+            lits.sort(key=lambda q: (vals[q] != -1, level[abs(q)]), reverse=True)
+            ci = self._attach(lits)
+            if vals[lits[0]] == -1:
+                if confl == -1:
+                    confl = ci
+                    self.theory_conflicts += 1
+            elif vals[lits[0]] == 0 and vals[lits[1]] == -1:
+                self._enqueue(lits[0], ci)
+        return confl
+
     def solve(self, deadline: float | None = None, assumptions=()):
         """Return a model dict {var: bool}, "UNSAT", or "TIMEOUT".
 
         Assumptions are decided first, one per level (MiniSat); "UNSAT" is
         then under them, and only a conflict at level 0 sets unsat for good.
-        The deadline is checked at every conflict and every 64th decision.
+        The deadline is checked at every conflict, the theory's included, and
+        every 64th decision.
         """
         if self.unsat:
             return "UNSAT"
@@ -539,8 +579,13 @@ class SatSolver:
         restart_idx = 0
         conflicts_until_restart = 100 * _luby(0)
         decisions = 0
+        theory = self.theory
         while True:
             confl = self._propagate()
+            if confl == -1 and theory is not None and self._checked < len(self.trail):
+                confl = self._theory_conflict(theory)
+                if confl == -1 and self.qhead < len(self.trail):
+                    continue  # the theory propagated
             if confl != -1:
                 self.conflicts_total += 1
                 conflicts_until_restart -= 1

@@ -1,7 +1,9 @@
 import os
 import stat
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,21 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", "--algo", "cbs", "--in", missing]) == EXIT_USAGE
     bad = write(tmp_path, "b.txt", "variant warp\n")
     assert main(["solve", "--algo", "cbs", "--in", bad]) == EXIT_USAGE
+
+
+def test_python_m_reloc_runs_the_command_line(tmp_path):
+    # a plain checkout has no `reloc` console script; `python -m reloc` stands in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    inst = write(tmp_path, "swap.txt", SWAP_TEXT)
+    out = subprocess.run([sys.executable, "-m", "reloc", "solve", "--algo", "cbs", "--in", inst],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[-1] == "xi = 2"
+    usage = subprocess.run([sys.executable, "-m", "reloc"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert usage.returncode == EXIT_USAGE and "usage: reloc" in usage.stderr
 
 
 def test_solve_timeout_exit_code(tmp_path, capsys):

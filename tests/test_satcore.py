@@ -334,6 +334,49 @@ def test_solve_under_assumptions_agrees_with_brute_force():
     assert unsat_under > 20
 
 
+class HeldClauses:
+    """A theory that holds clauses back from the solver and hands each over
+    once the assignment makes it false or unit."""
+
+    def __init__(self, solver, clauses):
+        self.solver, self.held, self.handed = solver, clauses, 0
+
+    def check(self, lits):
+        vals = self.solver.vals
+        found, kept = [], []
+        for clause in self.held:
+            open_ = [vals[q] for q in clause if vals[q] != -1]
+            (found if open_ in ([], [0]) else kept).append(list(clause))
+        self.held = kept
+        self.handed += len(found)
+        return found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_theory_of_held_clauses_answers_like_the_whole_formula(seed):
+    # the held clauses reach the solver only as theory conflicts and theory
+    # propagations, at every level, under assumptions and across solve calls
+    rng = random.Random(seed)
+    conflicts = handed = 0
+    for trial in range(150):
+        nv = rng.randint(3, 9)
+        clauses = [c for c in random_clauses(rng, nv, rng.randint(4, 5 * nv), 4)
+                   if len(set(map(abs, c))) == len(c)]
+        held = [c for c in clauses if len(c) > 1 and rng.random() < 0.6]
+        s = SatSolver(nv, [c for c in clauses if c not in held])
+        s.theory = HeldClauses(s, held)
+        assumptions = [rng.choice([-1, 1]) * v for v in rng.sample(range(1, nv + 1), 2)]
+        for under in (assumptions, []):
+            res = s.solve(assumptions=under)
+            want = brute_force(nv, clauses + [[a] for a in under])
+            assert (res == "UNSAT") == (want is None), (seed, trial, under)
+            if want is not None:
+                assert satisfies(res, clauses + [[a] for a in under]), (seed, trial)
+        conflicts += s.theory_conflicts
+        handed += s.theory.handed
+    assert conflicts >= 5 and handed >= 2 * conflicts, (conflicts, handed)
+
+
 def test_unsat_under_assumptions_is_not_final():
     # a -> x and a -> not x: refuted under a only
     s = SatSolver(3, [[-1, 2], [-1, -2], [2, 3]])

@@ -138,6 +138,20 @@ def test_timeout_comes_back_within_the_budget_on_8x8(solver):
     assert elapsed <= 3 + 1.5
 
 
+@pytest.mark.parametrize("variant", [Variant.MAPF, Variant.TSWAP])
+@pytest.mark.parametrize("solver", SOLVERS + [cbs_solve])
+def test_a_one_second_budget_holds_on_8x8(solver, variant):
+    # the deadline is checked in the precheck, the encoder, the clause load,
+    # at every conflict (the theory's too) and every 64th decision
+    budget = 1.0
+    inst = suite_instance("grid8", variant, 16, 0)
+    t0 = time.monotonic()
+    res = solver(inst, timeout=budget)
+    elapsed = time.monotonic() - t0
+    assert res.status in ("solved", "timeout")
+    assert elapsed <= budget + max(0.05 * budget, 0.25), (res.status, elapsed)
+
+
 @pytest.mark.parametrize("solver,name", [(mdd_sat_solve, "encode_full"),
                                          (smt_cbs_solve, "encode_basic")])
 def test_a_budget_of_about_zero_ends_in_the_encoder_on_8x8(solver, name, monkeypatch):
